@@ -1,8 +1,6 @@
-"""Section 5.1: preprocessing cost of index-based vs index-free systems,
-plus the store load-time study (per-add vs bulk ``add_all``, dict vs
-columnar backends)."""
+"""Section 5.1: preprocessing cost of index-based vs index-free systems."""
 
-from repro.bench.experiments import load_costs, preprocessing_costs
+from repro.bench.experiments import preprocessing_costs
 from repro.bench.reporting import format_table
 
 
@@ -19,18 +17,3 @@ def bench_preprocessing(benchmark, record_table):
     assert cost[("QFed", "SPLENDID")] > 0.0
     assert cost[("LargeRDFBench", "SPLENDID")] > cost[("QFed", "SPLENDID")]
 
-
-def bench_load_costs(benchmark, record_table):
-    rows = benchmark.pedantic(load_costs, rounds=1, iterations=1)
-    record_table(format_table(
-        rows, ["store", "method", "triples", "load_s"],
-        title="Store load time: per-add vs bulk add_all",
-    ))
-    load = {(r["store"], r["method"]): r["load_s"] for r in rows}
-    # the bulk path must never be a regression (generous noise margin —
-    # both paths share the dedupe/rank bookkeeping; the bulk win is the
-    # hoisted-locals loop plus the single deferred run build)
-    assert load[("columnar", "add_all")] <= load[("columnar", "per-add")] * 1.5
-    assert load[("dict", "add_all")] <= load[("dict", "per-add")] * 1.5
-    for row in rows:
-        assert row["triples"] > 10_000

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.bench --experiment fig9
     python -m repro.bench --experiment fig10 --scale 0.5
-    python -m repro.bench --experiment evaluator --check
+    python -m repro.bench --experiment federation --check
     python -m repro.bench --list
 """
 
@@ -17,8 +17,6 @@ from . import experiments
 from . import federation_bench
 from . import resilience_bench
 from . import serving_bench
-from .evaluator_bench import check as evaluator_check
-from .evaluator_bench import format_report, run_hotpath, write_results
 from .reporting import format_runs, format_table
 
 
@@ -39,16 +37,12 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=3600.0,
                         help="virtual-time budget per query (seconds)")
     parser.add_argument("--check", action="store_true",
-                        help="evaluator/federation experiments only: fast "
-                             "smoke mode asserting the optimized path is "
-                             "active and winner/shape stability holds")
+                        help="federation/resilience/wire-chaos/serving "
+                             "experiments only: fast smoke mode asserting "
+                             "the optimized path is active and its floor "
+                             "holds")
     parser.add_argument("--list", action="store_true", help="list experiments")
     args = parser.parse_args(argv)
-
-    def _run_evaluator():
-        payload = evaluator_check() if args.check else run_hotpath()
-        print(format_report(payload))
-        print(f"wrote {write_results(payload)}")
 
     def _run_federation():
         payload = (
@@ -96,11 +90,6 @@ def main(argv=None) -> int:
             experiments.preprocessing_costs(lrb_scale=args.scale),
             ["benchmark", "system", "preprocessing_s"],
             title="Preprocessing cost (Section 5.1)",
-        )),
-        "load": lambda: print(format_table(
-            experiments.load_costs(),
-            ["store", "method", "triples", "load_s"],
-            title="Store load time: per-add vs bulk add_all",
         )),
         "fig8": lambda: _print_runs(
             experiments.fig8_qfed(timeout_seconds=args.timeout),
@@ -150,7 +139,6 @@ def main(argv=None) -> int:
             ["benchmark", "query", "FedX", "LADE", "LADE+SAPE"],
             title="Figure 14: LADE / SAPE ablation",
         )),
-        "evaluator": _run_evaluator,
         "federation": _run_federation,
         "resilience": _run_resilience,
         "wire-chaos": _run_wire_chaos,

@@ -118,64 +118,6 @@ def preprocessing_costs(lrb_scale: float = 1.0) -> List[Dict[str, object]]:
 
 
 # ----------------------------------------------------------------------
-# Load cost — per-add vs bulk add_all, dict vs columnar (ISSUE 6)
-# ----------------------------------------------------------------------
-
-def load_costs(
-    universities: int = 8,
-    graduate_students_per_department: int = 96,
-    repeats: int = 3,
-) -> List[Dict[str, object]]:
-    """Store build time by mode and loading method.
-
-    Dataset loaders hand whole graphs to ``TripleStore(triples)``, which
-    routes through :meth:`TripleStore.add_all` — on columnar stores the
-    bulk path interns every term in one tight loop and defers the sorted
-    runs to one batched build.  This measures what that saves vs calling
-    :meth:`add` per triple.  Timings include a first read (``len`` +
-    predicate scan) so the columnar deferred flush is always paid inside
-    the measured window.
-    """
-    import time as _time
-
-    from ..store.triplestore import TripleStore
-
-    generator = LubmGenerator(
-        universities=universities,
-        graduate_students_per_department=graduate_students_per_department,
-    )
-    triples = []
-    for index in range(universities):
-        triples.extend(generator.generate_university(index))
-
-    def build(use_columnar: bool, bulk: bool) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            started = _time.perf_counter()
-            store = TripleStore(use_columnar=use_columnar)
-            if bulk:
-                store.add_all(triples)
-            else:
-                for triple in triples:
-                    store.add(triple)
-            # force the deferred run build into the timed window
-            store.predicates()
-            best = min(best, _time.perf_counter() - started)
-        return best
-
-    rows: List[Dict[str, object]] = []
-    for store_mode, use_columnar in (("dict", False), ("columnar", True)):
-        for method, bulk in (("per-add", False), ("add_all", True)):
-            rows.append({
-                "store": store_mode,
-                "method": method,
-                "triples": len(triples),
-                "load_s": round(build(use_columnar, bulk), 4),
-            })
-    return rows
-
-
-# ----------------------------------------------------------------------
 # Figure 8 — QFed on the local cluster
 # ----------------------------------------------------------------------
 

@@ -239,108 +239,6 @@ def _compare(
     return row
 
 
-def _dictionary_ablation(
-    lubm_universities: int,
-    lubm_queries: Sequence[str],
-) -> List[Dict[str, object]]:
-    """Run LUBM end to end with ``use_dictionary`` on and off.
-
-    The dictionary layer (ISSUE 4) must be invisible in the answers:
-    every endpoint store, the BGP executor, the global join operators,
-    and the SAPE binding trackers switch between term and ID kernels,
-    and the serialized rows must come back bit-identical — same rows,
-    same order.
-    """
-    regions = _lubm_regions(lubm_universities)
-    generator = LubmGenerator(universities=lubm_universities)
-    ablation: List[Dict[str, object]] = []
-    for name in lubm_queries:
-        runs = {}
-        for mode in (True, False):
-            engine = LusailEngine(
-                generator.build_federation(
-                    network=AZURE_GEO, regions=regions,
-                    use_dictionary=mode,
-                ),
-                pool_size=8,
-                delay_threshold="mu+sigma",
-                values_block_size=16,
-                use_dictionary=mode,
-            )
-            outcome = engine.execute(LUBM_QUERIES[name])
-            if not outcome.ok:
-                raise AssertionError(
-                    f"LUBM-{name} failed (use_dictionary={mode}): "
-                    f"{outcome.error}"
-                )
-            runs[mode] = [
-                tuple("" if cell is None else cell.n3() for cell in row)
-                for row in outcome.result.rows
-            ]
-        if runs[True] != runs[False]:
-            raise AssertionError(
-                f"LUBM-{name}: use_dictionary changed the answer "
-                f"({len(runs[True])} vs {len(runs[False])} rows, or order)"
-            )
-        ablation.append({
-            "query": f"LUBM-{name}",
-            "rows": len(runs[True]),
-            "bit_identical": True,
-        })
-    return ablation
-
-
-def _columnar_ablation(
-    lubm_universities: int,
-    lubm_queries: Sequence[str],
-) -> List[Dict[str, object]]:
-    """Run LUBM end to end with ``use_columnar`` on and off (ISSUE 6).
-
-    The columnar backend swaps every endpoint store's nested-dict
-    indexes for sorted-run columns (here additionally subject-sharded),
-    and the whole federated pipeline — ASK probes, COUNT estimates,
-    bound-VALUES subqueries, global joins — must come back bit-identical:
-    same rows, same order.
-    """
-    regions = _lubm_regions(lubm_universities)
-    generator = LubmGenerator(universities=lubm_universities)
-    ablation: List[Dict[str, object]] = []
-    for name in lubm_queries:
-        runs = {}
-        for mode in (True, False):
-            engine = LusailEngine(
-                generator.build_federation(
-                    network=AZURE_GEO, regions=regions,
-                    use_columnar=mode,
-                    shards=2 if mode else 1,
-                ),
-                pool_size=8,
-                delay_threshold="mu+sigma",
-                values_block_size=16,
-            )
-            outcome = engine.execute(LUBM_QUERIES[name])
-            if not outcome.ok:
-                raise AssertionError(
-                    f"LUBM-{name} failed (use_columnar={mode}): "
-                    f"{outcome.error}"
-                )
-            runs[mode] = [
-                tuple("" if cell is None else cell.n3() for cell in row)
-                for row in outcome.result.rows
-            ]
-        if runs[True] != runs[False]:
-            raise AssertionError(
-                f"LUBM-{name}: use_columnar changed the answer "
-                f"({len(runs[True])} vs {len(runs[False])} rows, or order)"
-            )
-        ablation.append({
-            "query": f"LUBM-{name}",
-            "rows": len(runs[True]),
-            "bit_identical": True,
-        })
-    return ablation
-
-
 def _repeated_workload(
     lubm_universities: int,
     directory_universities: int,
@@ -580,12 +478,6 @@ def run_federation(
         "directory_universities": directory_universities,
         "queries": rows,
         "max_speedup": max(row["speedup"] for row in rows),
-        "dictionary_ablation": _dictionary_ablation(
-            lubm_universities, lubm_queries
-        ),
-        "columnar_ablation": _columnar_ablation(
-            lubm_universities, lubm_queries
-        ),
         "repeated_workload": _repeated_workload(
             lubm_universities, directory_universities, lubm_queries
         ),
@@ -659,18 +551,6 @@ def check(
             f"({pipelined['lane_utilization']} vs "
             f"{barrier['lane_utilization']})"
         )
-    for row in payload["dictionary_ablation"]:
-        if not row["bit_identical"] or row["rows"] < 1:
-            raise AssertionError(
-                f"{row['query']}: dictionary ablation not bit-identical "
-                "or returned no rows"
-            )
-    for row in payload["columnar_ablation"]:
-        if not row["bit_identical"] or row["rows"] < 1:
-            raise AssertionError(
-                f"{row['query']}: columnar ablation not bit-identical "
-                "or returned no rows"
-            )
     repeated = payload["repeated_workload"]
     if (repeated["pass2"]["requests"] * MIN_REPEAT_REQUEST_DROP
             > repeated["pass1"]["requests"]):
@@ -746,16 +626,6 @@ def format_report(payload: Dict[str, object]) -> str:
             f"{pipelined['inflight_high_water']},"
             f" {pipelined['scheduler_waves']} waves)"
             f" | {row['speedup']:.2f}x"
-        )
-    for row in payload.get("dictionary_ablation", []):
-        lines.append(
-            f"  {row['query']}: use_dictionary on/off bit-identical "
-            f"({row['rows']} rows)"
-        )
-    for row in payload.get("columnar_ablation", []):
-        lines.append(
-            f"  {row['query']}: use_columnar on/off (2 shards) "
-            f"bit-identical ({row['rows']} rows)"
         )
     for row in payload.get("streaming", []):
         streaming = row["streaming"]

@@ -115,8 +115,6 @@ class LusailEngine:
         breaker: bool = True,
         breaker_threshold: int = 3,
         breaker_cooldown_seconds: float = 1.0,
-        use_dictionary: bool = True,
-        vectorized_joins: bool = True,
         request_timeout_seconds: Optional[float] = None,
         adaptive_timeouts: bool = True,
         timeout_multiplier: float = 4.0,
@@ -155,13 +153,6 @@ class LusailEngine:
         self.breaker = breaker
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_seconds = breaker_cooldown_seconds
-        #: run the federator's global joins and SAPE binding tracking on
-        #: interned IDs (ablation knob mirroring ``pipeline``; endpoint
-        #: evaluators have their own knob on LocalEndpoint/TripleStore)
-        self.use_dictionary = use_dictionary
-        #: run fully-bound global joins as batched numpy kernels when the
-        #: columnar backend's numpy is available (ablation knob)
-        self.vectorized_joins = vectorized_joins
         #: static per-request timeout; with a deadline but no explicit
         #: value, one request may spend at most a fixed fraction of the
         #: query budget (DEFAULT_REQUEST_TIMEOUT_FRACTION)
@@ -345,8 +336,6 @@ class LusailEngine:
             join_threads=self.join_threads,
             real_time_limit=real_time_limit,
             partial_results=partial_results,
-            use_dictionary=self.use_dictionary,
-            vectorized_joins=self.vectorized_joins,
             deadline=deadline,
             reset_windows=self.reset_request_windows,
         )
@@ -375,8 +364,6 @@ class LusailEngine:
             join_threads=self.join_threads,
             real_time_limit=real_time_limit,
             partial_results=partial_results,
-            use_dictionary=self.use_dictionary,
-            vectorized_joins=self.vectorized_joins,
             deadline=deadline,
             reset_windows=self.reset_request_windows,
         )

@@ -18,8 +18,7 @@ comparisons.  Output rows decode back to terms only when the joined
 :class:`ResultSet` is materialized.  Cell equality is preserved exactly
 by interning, and every dict used by the kernel iterates in insertion
 order, so term-mode and ID-mode joins produce bit-identical results
-(rows *and* order); ``context.use_dictionary = False`` ablates the
-kernel away.
+(rows *and* order).
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ from ..endpoint.metrics import ExecutionContext
 from ..rdf.dictionary import TermDictionary
 from ..rdf.term import GroundTerm, Variable
 from ..sparql.results import ResultSet
+
+try:  # optional: without numpy the vectorized regime below switches off
+    import numpy as _np
+except ImportError:  # pragma: no cover - covered by the numpy-absent CI job
+    _np = None
 
 Row = Tuple[Optional[GroundTerm], ...]
 
@@ -103,8 +107,6 @@ def _kernel_dictionary(
         return None
     if context is None:
         return TermDictionary()
-    if not context.use_dictionary:
-        return None
     return context.get_join_dictionary()
 
 
@@ -128,17 +130,6 @@ def _encode_rows(rows: Sequence[Row], dictionary: TermDictionary) -> List[tuple]
 # materialize the output with gathers.  A ``None`` in any key cell (an
 # OPTIONAL-produced wildcard) or > 2 shared variables falls back to the
 # per-row kernel, which handles the full wildcard semantics.
-
-
-def _np_module():
-    """The columnar backend's numpy handle (honours test stubbing)."""
-    from ..store import columnar
-
-    return columnar._np
-
-
-def _vectorized_enabled(context: Optional[ExecutionContext]) -> bool:
-    return context is None or context.vectorized_joins
 
 
 def _encode_matrix(rows, width: int, dictionary: TermDictionary, np):
@@ -330,21 +321,19 @@ def hash_join(
         and len(shared_pairs) <= 2
         and left.rows
         and right.rows
-        and _vectorized_enabled(context)
+        and _np is not None
     ):
-        np = _np_module()
-        if np is not None:
-            vectorized = _hash_join_vectorized(
-                left, right, shared_pairs, right_extra, dictionary, np
-            )
-            if vectorized is not None:
-                vec_rows, decode_seconds = vectorized
-                _kernel_end(context, dictionary, before, decode_seconds)
-                if context is not None:
-                    context.metrics.join_vectorized_batches += 1
-                result = ResultSet(header, vec_rows)
-                _account(context, left, right, result)
-                return result
+        vectorized = _hash_join_vectorized(
+            left, right, shared_pairs, right_extra, dictionary, _np
+        )
+        if vectorized is not None:
+            vec_rows, decode_seconds = vectorized
+            _kernel_end(context, dictionary, before, decode_seconds)
+            if context is not None:
+                context.metrics.join_vectorized_batches += 1
+            result = ResultSet(header, vec_rows)
+            _account(context, left, right, result)
+            return result
     if dictionary is None:
         left_rows, right_rows = left.rows, right.rows
     else:
@@ -439,8 +428,8 @@ class SymmetricHashJoin:
     rows ``hash_join(left, right)`` would, in an order determined by
     arrival order (deterministic under the virtual-time scheduler).
 
-    Keys are interned through the context's join dictionary when
-    enabled, so bucket hashing compares machine ints (the PR 4 ID
+    Keys are interned through the context's join dictionary (when there
+    is a context), so bucket hashing compares machine ints (the PR 4 ID
     kernel); a probe batch of :data:`_ID_KERNEL_MIN_ROWS` or more rows
     against an equally large opposite side with 1–2 fully-bound shared
     variables runs through the PR 6 vectorized batch kernel instead of
@@ -468,9 +457,7 @@ class SymmetricHashJoin:
         )
         self._context = context
         self._dictionary = (
-            context.get_join_dictionary()
-            if context is not None and context.use_dictionary
-            else None
+            context.get_join_dictionary() if context is not None else None
         )
         self._left = _SymmetricSide([li for li, _ in self._shared_pairs])
         self._right = _SymmetricSide([ri for _, ri in self._shared_pairs])
@@ -582,11 +569,8 @@ class SymmetricHashJoin:
             or len(rows) < _ID_KERNEL_MIN_ROWS
             or len(other.rows) < _ID_KERNEL_MIN_ROWS
             or other.wildcards
-            or not _vectorized_enabled(self._context)
+            or _np is None
         ):
-            return None
-        np = _np_module()
-        if np is None:
             return None
         if batch_is_left:
             left_rs = ResultSet(self.header[: self._left_width()], list(rows))
@@ -596,7 +580,7 @@ class SymmetricHashJoin:
             right_rs = ResultSet(self._right_header(), list(rows))
         vectorized = _hash_join_vectorized(
             left_rs, right_rs, self._shared_pairs, self._right_extra,
-            self._dictionary, np,
+            self._dictionary, _np,
         )
         if vectorized is None:
             return None
@@ -636,21 +620,19 @@ def left_outer_join(
         and len(shared_pairs) <= 2
         and left.rows
         and right.rows
-        and _vectorized_enabled(context)
+        and _np is not None
     ):
-        np = _np_module()
-        if np is not None:
-            vectorized = _left_outer_vectorized(
-                left, right, shared_pairs, right_extra, dictionary, np
-            )
-            if vectorized is not None:
-                vec_rows, decode_seconds = vectorized
-                _kernel_end(context, dictionary, before, decode_seconds)
-                if context is not None:
-                    context.metrics.join_vectorized_batches += 1
-                result = ResultSet(header, vec_rows)
-                _account(context, left, right, result)
-                return result
+        vectorized = _left_outer_vectorized(
+            left, right, shared_pairs, right_extra, dictionary, _np
+        )
+        if vectorized is not None:
+            vec_rows, decode_seconds = vectorized
+            _kernel_end(context, dictionary, before, decode_seconds)
+            if context is not None:
+                context.metrics.join_vectorized_batches += 1
+            result = ResultSet(header, vec_rows)
+            _account(context, left, right, result)
+            return result
     if dictionary is None:
         left_rows, right_rows = left.rows, right.rows
     else:

@@ -21,9 +21,10 @@ both modes return identical results (see tests/test_pipeline_equivalence).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..endpoint.metrics import ExecutionContext
+from ..rdf.dictionary import TermDictionary
 from ..rdf.term import GroundTerm, Variable
 from ..sparql.ast import GroupPattern, Query, ValuesBlock
 from ..sparql.results import ResultSet
@@ -38,7 +39,9 @@ from .joins import hash_join, union_all
 from .optimizer import Relation, refine_with_bindings
 from .subquery import Subquery
 
-Bindings = Dict[Variable, Set[GroundTerm]]
+#: variable -> interned IDs (in the query's join dictionary) of its
+#: surviving values
+Bindings = Dict[Variable, Set[int]]
 
 
 class BindingTracker:
@@ -50,30 +53,20 @@ class BindingTracker:
     time (as they arrive from endpoints) replaces the seed's rescan of
     *every* relation after *each* delayed subquery.
 
-    With a ``dictionary`` (the context's join intern table), tracked sets
-    hold interned IDs and the per-relation intersections run on machine
+    Tracked sets hold IDs interned in ``dictionary`` (the context's join
+    intern table) and the per-relation intersections run on machine
     integers; selection heuristics only ever ask for ``len()``, so terms
     are decoded solely when :meth:`SubqueryEvaluator._plan_blocks` turns
     an intersection into concrete ``VALUES`` rows.
     """
 
-    def __init__(self, dictionary=None) -> None:
+    def __init__(self, dictionary: TermDictionary) -> None:
         self.dictionary = dictionary
-        #: variable -> set of terms (no dictionary) or interned IDs
         self.bindings: Bindings = {}
 
     def add(self, result: ResultSet) -> None:
         """Tighten the tracked intersections with one new relation."""
-        dictionary = self.dictionary
-        if dictionary is None:
-            for variable in result.variables:
-                values = result.distinct_values(variable)
-                if variable in self.bindings:
-                    self.bindings[variable] &= values
-                else:
-                    self.bindings[variable] = set(values)
-            return
-        encode = dictionary.encode
+        encode = self.dictionary.encode
         rows = result.rows
         for index, variable in enumerate(result.variables):
             values = {
@@ -123,10 +116,8 @@ class SubqueryEvaluator:
         #: engine-lifetime subquery result cache; None = always fetch
         self.result_cache = result_cache
         #: intern table the binding tracker keeps its value sets in
-        #: (shared with the join kernel); None = track raw terms
-        self._binding_dictionary = (
-            context.get_join_dictionary() if context.use_dictionary else None
-        )
+        #: (shared with the join kernel)
+        self._binding_dictionary = context.get_join_dictionary()
 
     # ------------------------------------------------------------------
     # Result-cache plumbing
@@ -450,12 +441,11 @@ class SubqueryEvaluator:
         self, subquery: Subquery, variable: Variable, bindings: Bindings
     ) -> List[List[GroundTerm]]:
         """Decode boundary: tracked ID sets become term ``VALUES`` rows
-        here, sorted by term sort key (identical order in both modes)."""
-        raw = bindings[variable]
-        dictionary = self._binding_dictionary
-        if dictionary is not None:
-            raw = dictionary.decode_many(raw)
-        values = sorted(raw, key=lambda t: t.sort_key())
+        here, sorted by term sort key."""
+        values = sorted(
+            self._binding_dictionary.decode_many(bindings[variable]),
+            key=lambda t: t.sort_key(),
+        )
         return [
             values[i:i + self.values_block_size]
             for i in range(0, len(values), self.values_block_size)
@@ -794,13 +784,3 @@ class SubqueryEvaluator:
                 joined = ResultSet(joined.variables, kept)
         return joined.project(list(header)).distinct()
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _derive_bindings(relations: Iterable[ResultSet]) -> Bindings:
-        """Distinct values per variable, intersected across relations
-        (one-shot convenience over :class:`BindingTracker`)."""
-        tracker = BindingTracker()
-        for result in relations:
-            tracker.add(result)
-        return tracker.bindings

@@ -172,9 +172,6 @@ class LubmGenerator:
         self,
         network: NetworkModel = LOCAL_CLUSTER,
         regions: Dict[int, Region] = None,
-        use_dictionary: bool = True,
-        use_columnar: bool = False,
-        shards: int = 1,
     ) -> Federation:
         """One endpoint per university."""
         endpoints = []
@@ -184,9 +181,6 @@ class LubmGenerator:
                 f"university{index}",
                 self.generate_university(index),
                 region=region,
-                use_dictionary=use_dictionary,
-                use_columnar=use_columnar,
-                shards=shards,
             ))
         return Federation(endpoints, network=network)
 

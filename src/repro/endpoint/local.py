@@ -44,7 +44,6 @@ class LocalEndpoint:
         failure_rate: float = 0.0,
         failure_seed: int = 97,
         faults: Optional[FaultProfile] = None,
-        use_dictionary: bool = True,
     ):
         if not 0.0 <= failure_rate < 1.0:
             raise ValueError("failure_rate must be in [0, 1)")
@@ -57,9 +56,7 @@ class LocalEndpoint:
             endpoint_id, faults, failure_rate, failure_seed
         )
         self._requests_in_window = 0
-        #: ablation knob: term-native evaluation even on a
-        #: dictionary-encoded store (no-op when the store is term-keyed)
-        self._evaluator = Evaluator(store, use_dictionary=use_dictionary)
+        self._evaluator = Evaluator(store)
         self._parse_cache: Dict[str, Query] = {}
         #: serializes :meth:`execute` like a single-threaded SPARQL
         #: server answering one query at a time.  The evaluator's stats
@@ -77,23 +74,9 @@ class LocalEndpoint:
         endpoint_id: str,
         triples: Iterable[Triple],
         region: Region = _DEFAULT_REGION,
-        use_dictionary: bool = True,
-        use_columnar: bool = False,
-        shards: int = 1,
         **kwargs,
     ) -> "LocalEndpoint":
-        return cls(
-            endpoint_id,
-            TripleStore(
-                triples,
-                use_dictionary=use_dictionary,
-                use_columnar=use_columnar,
-                shards=shards,
-            ),
-            region,
-            use_dictionary=use_dictionary,
-            **kwargs,
-        )
+        return cls(endpoint_id, TripleStore(triples), region, **kwargs)
 
     def set_faults(self, profile: Optional[FaultProfile]) -> None:
         """(Re)configure fault injection on a live endpoint — e.g. to

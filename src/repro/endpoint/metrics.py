@@ -295,8 +295,6 @@ class ExecutionContext:
         join_threads: int = 4,
         real_time_limit: Optional[float] = None,
         partial_results: bool = False,
-        use_dictionary: bool = True,
-        vectorized_joins: bool = True,
         deadline=None,
     ):
         self.network = network
@@ -330,13 +328,6 @@ class ExecutionContext:
         )
         #: honest accounting of what partial mode dropped
         self.completeness = CompletenessReport()
-        #: run the federator's result joins on interned IDs (ablation
-        #: knob mirroring the endpoint evaluators' ``use_dictionary``)
-        self.use_dictionary = use_dictionary
-        #: let fully-bound ID-kernel joins run as one numpy batch (packed
-        #: keys + sort/searchsorted) instead of per-row hashing; ablation
-        #: knob for the vectorized regime, off -> per-row kernel only
-        self.vectorized_joins = vectorized_joins
         #: lazily-created intern table shared by every join of this query,
         #: so terms flowing through multiple joins encode exactly once
         self.join_dictionary = None

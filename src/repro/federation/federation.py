@@ -204,8 +204,6 @@ class Federation:
         join_threads: int = 4,
         real_time_limit: float = None,
         partial_results: bool = False,
-        use_dictionary: bool = True,
-        vectorized_joins: bool = True,
         deadline=None,
         reset_windows: bool = True,
     ) -> ExecutionContext:
@@ -231,8 +229,6 @@ class Federation:
             join_threads=join_threads,
             real_time_limit=real_time_limit,
             partial_results=partial_results,
-            use_dictionary=use_dictionary,
-            vectorized_joins=vectorized_joins,
             deadline=deadline,
         )
 

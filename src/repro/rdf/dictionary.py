@@ -21,8 +21,9 @@ gives two properties the engine relies on:
   invalidates an existing ID.
 
 ``terms_interned`` / ``hits`` make the encode boundary observable: the
-evaluator and the join layer snapshot them to attribute encode work per
-request (see ``EvaluatorStats`` and ``Metrics``).
+federator's join layer snapshots them to attribute encode work per query
+(see ``Metrics.join_terms_interned``).  Endpoint stores intern at load
+only — evaluation goes through :meth:`TermDictionary.lookup`.
 """
 
 from __future__ import annotations

@@ -8,24 +8,21 @@ DISTINCT, ORDER BY, LIMIT/OFFSET, and COUNT aggregation.
 BGPs run through a **compile-once, batch-at-a-time pipeline**
 (:mod:`repro.sparql.plan`): pattern order is planned once per BGP from
 static store statistics and cached across requests, then whole vectors
-of bindings are pushed through each pattern via the store's
-``match_bindings`` fast path.  The seed's per-binding recursive join —
-which re-probed ``store.count`` for every intermediate binding — is kept
-behind ``use_planner=False`` as the reference/baseline path.
-
-On dictionary-encoded stores (the default) planned BGPs run **ID-native**
+of solutions are pushed through each pattern **ID-native**
 (:meth:`BGPPlan.execute_ids` + :meth:`TripleStore.extend_id_rows`):
 solutions travel as slot-mapped lists of interned integer IDs and decode
 back to terms only at the BGP boundary — or, for pure-BGP SELECTs, not
-until the final :class:`ResultSet` cells are materialized.  Pass
-``use_dictionary=False`` (or build the store with it) to ablate back to
-term-native execution; both modes produce bit-identical results, rows
-and order.
+until the final :class:`ResultSet` cells are materialized.  Evaluation
+only ever *looks up* terms in the store's dictionary; a constant or an
+outer binding the data never mentions yields no solutions and interns
+nothing.  (The seed's per-binding recursive joiner lives on in
+``tests/reference.py`` as the differential oracle.)
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..rdf.term import Variable
@@ -54,19 +51,9 @@ _PLAN_CACHE_LIMIT = 4096
 class Evaluator:
     """Evaluates parsed queries against one store."""
 
-    def __init__(
-        self,
-        store: TripleStore,
-        use_planner: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        use_dictionary: bool = True,
-    ):
+    def __init__(self, store: TripleStore, batch_size: int = DEFAULT_BATCH_SIZE):
         self.store = store
-        self.use_planner = use_planner
         self.batch_size = max(1, batch_size)
-        #: run planned BGPs on interned IDs; requires a dictionary-mode
-        #: store (term-keyed stores always evaluate term-native)
-        self.use_dictionary = use_dictionary and store.dictionary is not None
         self.stats = EvaluatorStats()
         self._timer_depth = 0
         self._plan_cache: Dict[
@@ -77,46 +64,33 @@ class Evaluator:
     # Public entry points
     # ------------------------------------------------------------------
 
-    def ask(self, query: Query) -> bool:
-        outermost = self._timer_depth == 0
+    @contextmanager
+    def _timed(self):
+        """Charge the outermost entry point's wall time to
+        ``stats.exec_seconds`` (sub-SELECTs re-enter :meth:`select`)."""
         self._timer_depth += 1
         started = time.perf_counter()
-        dictionary = self.store.dictionary if outermost else None
-        if dictionary is not None:
-            interned_before, hits_before = dictionary.terms_interned, dictionary.hits
         try:
+            yield
+        finally:
+            self._timer_depth -= 1
+            if not self._timer_depth:
+                self.stats.exec_seconds += time.perf_counter() - started
+
+    def ask(self, query: Query) -> bool:
+        with self._timed():
             for _ in self._evaluate_group(query.where, _EMPTY_BINDING):
                 return True
             return False
-        finally:
-            self._timer_depth -= 1
-            if outermost:
-                self.stats.exec_seconds += time.perf_counter() - started
-                if dictionary is not None:
-                    self.stats.terms_interned += dictionary.terms_interned - interned_before
-                    self.stats.dictionary_hits += dictionary.hits - hits_before
 
     def select(self, query: Query):
         """Evaluate a SELECT query; returns a :class:`ResultSet`."""
         from .results import ResultSet
 
-        outermost = self._timer_depth == 0
-        self._timer_depth += 1
-        started = time.perf_counter()
-        dictionary = self.store.dictionary if outermost else None
-        if dictionary is not None:
-            interned_before, hits_before = dictionary.terms_interned, dictionary.hits
-        try:
+        with self._timed():
             result = self._select_bgp_fast(query)
             if result is None:
                 solutions = list(self._evaluate_group(query.where, _EMPTY_BINDING))
-        finally:
-            self._timer_depth -= 1
-            if outermost:
-                self.stats.exec_seconds += time.perf_counter() - started
-                if dictionary is not None:
-                    self.stats.terms_interned += dictionary.terms_interned - interned_before
-                    self.stats.dictionary_hits += dictionary.hits - hits_before
         if result is None:
             if query.aggregates or query.group_by:
                 return self._aggregate(query, solutions)
@@ -132,7 +106,7 @@ class Evaluator:
         return result
 
     def _select_bgp_fast(self, query: Query):
-        """Pure-BGP SELECT on a dictionary store: skip binding dicts.
+        """Pure-BGP SELECT: skip binding dicts.
 
         When the WHERE clause is nothing but triple patterns (no filters,
         aggregates, or grouping), ID rows coming off the planned pipeline
@@ -143,8 +117,6 @@ class Evaluator:
         """
         from .results import ResultSet
 
-        if not (self.use_planner and self.use_dictionary):
-            return None
         if query.aggregates or query.group_by or query.where.filters:
             return None
         patterns = query.where.elements
@@ -157,36 +129,6 @@ class Evaluator:
         slot_of = {v: i for i, v in enumerate(plan.slot_vars)}
         projection = [slot_of.get(v) for v in header]
         decode = self.store.dictionary.decode
-        columnar = self.store.columnar
-        if columnar is not None and columnar.vectorized:
-            # Solutions stay columnar through every stage; each projected
-            # column decodes in one pass at the very end.
-            from ..store.columnar import _np
-
-            block = plan.execute_blocks(self.store, self.stats, self.batch_size)
-            decode_started = time.perf_counter()
-            decoded_cols = []
-            for s in projection:
-                if s is None:
-                    decoded_cols.append([None] * block.n)
-                else:
-                    # decode each distinct ID once, then gather — columns
-                    # repeat a few thousand terms across millions of rows
-                    col = block.cols[s]
-                    uniq, inverse = _np.unique(col, return_inverse=True)
-                    lut = [
-                        None if tid < 0 else decode(tid)
-                        for tid in uniq.tolist()
-                    ]
-                    decoded_cols.append(
-                        [lut[j] for j in inverse.tolist()]
-                    )
-            if decoded_cols:
-                rows = list(zip(*decoded_cols))
-            else:
-                rows = [()] * block.n
-            self.stats.decode_seconds += time.perf_counter() - decode_started
-            return ResultSet(tuple(header), rows)
         id_rows = list(
             plan.execute_ids(
                 self.store, [[None] * len(plan.slot_vars)], self.stats, self.batch_size
@@ -222,15 +164,13 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _evaluate_group(self, group: GroupPattern, initial: Binding) -> Iterator[Binding]:
-        solutions: Iterable[Binding] = [dict(initial)]
         # Evaluate the BGP portion with a planned join order, then fold in
         # the non-BGP elements in their syntactic order.
         patterns = [e for e in group.elements if isinstance(e, TriplePattern)]
         others = [e for e in group.elements if not isinstance(e, TriplePattern)]
-        if patterns:
-            solutions = self._evaluate_bgp(
-                patterns, solutions, frozenset(initial)
-            )
+        solutions: Iterable[Binding] = (
+            self._evaluate_bgp(patterns, initial) if patterns else [dict(initial)]
+        )
         for element in others:
             solutions = self._apply_element(element, solutions)
         if group.filters:
@@ -318,63 +258,34 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _evaluate_bgp(
-        self,
-        patterns: List[TriplePattern],
-        solutions: Iterable[Binding],
-        bound: FrozenSet[Variable] = frozenset(),
+        self, patterns: List[TriplePattern], initial: Binding
     ) -> Iterator[Binding]:
-        if not self.use_planner:
-            for binding in solutions:
-                yield from self._join_patterns(patterns, binding)
-            return
-        plan = self.plan_for(patterns, bound)
-        if self.use_dictionary:
-            yield from self._execute_plan_ids(plan, solutions)
-            return
-        yield from plan.execute(
-            self.store, solutions, self.stats, self.batch_size
-        )
+        """Solutions of ``patterns`` compatible with the group's initial
+        binding, each as a fresh dict extending it.
 
-    def _execute_plan_ids(
-        self, plan: BGPPlan, solutions: Iterable[Binding]
-    ) -> Iterator[Binding]:
-        """Run a plan ID-native, converting bindings at the boundary.
-
-        Input bindings (there is usually exactly one — the group's initial
-        binding) encode into slot-mapped ID rows; output rows decode back
-        to binding dicts so downstream operators (OPTIONAL, FILTER, …)
-        stay term-based.  Pure-BGP SELECTs skip even this via
+        The values ``initial`` gives to variables the patterns mention
+        are looked up into the plan's bound slots (a value the store has
+        never seen cannot match anything); rows come back ID-native and
+        only the slots the BGP itself bound are decoded, overlaid on a
+        copy of ``initial`` — so variables merely passing through are
+        never encoded at all.  Pure-BGP SELECTs skip even this via
         :meth:`_select_bgp_fast`.
         """
+        plan = self.plan_for(patterns, frozenset(initial))
         dictionary = self.store.dictionary
         slot_vars = plan.slot_vars
-        slot_of = {v: i for i, v in enumerate(slot_vars)}
-        encode = dictionary.encode
-        n_slots = len(slot_vars)
-        rows: List[List[Optional[int]]] = []
-        for binding in solutions:
-            row: List[Optional[int]] = [None] * n_slots
-            for variable, value in binding.items():
-                slot = slot_of.get(variable)
-                if slot is None:
-                    # A binding outside the plan's slot universe can't be
-                    # carried through ID rows; take the term path.
-                    yield from plan.execute(
-                        self.store, [binding], self.stats, self.batch_size
-                    )
-                    break
-                row[slot] = encode(value)
-            else:
-                rows.append(row)
-        if not rows:
-            return
+        row: List[Optional[int]] = [None] * len(slot_vars)
+        for slot in range(plan.bound_slots):
+            tid = dictionary.lookup(initial[slot_vars[slot]])
+            if tid is None:
+                return
+            row[slot] = tid
         decode = dictionary.decode
-        for row in plan.execute_ids(self.store, rows, self.stats, self.batch_size):
-            binding = {}
-            for i in range(n_slots):
-                tid = row[i]
-                if tid is not None:
-                    binding[slot_vars[i]] = decode(tid)
+        free = list(enumerate(slot_vars))[plan.bound_slots:]
+        for ids in plan.execute_ids(self.store, [row], self.stats, self.batch_size):
+            binding = dict(initial)
+            for slot, variable in free:
+                binding[variable] = decode(ids[slot])
             yield binding
 
     def plan_for(
@@ -398,45 +309,6 @@ class Evaluator:
             self._plan_cache.clear()
         self._plan_cache[key] = plan
         return plan
-
-    # -- legacy per-binding path (``use_planner=False``) ----------------
-
-    def _join_patterns(
-        self, patterns: List[TriplePattern], binding: Binding
-    ) -> Iterator[Binding]:
-        if not patterns:
-            yield binding
-            return
-        remaining = list(patterns)
-        index = self._pick_next_pattern(remaining, binding)
-        pattern = remaining.pop(index)
-        substituted = pattern.substitute(binding)
-        for triple in self.store.match(substituted):
-            match = substituted.matches(triple)
-            if match is None:
-                continue
-            extended = dict(binding)
-            extended.update(match)
-            yield from self._join_patterns(remaining, extended)
-
-    def _pick_next_pattern(self, patterns: List[TriplePattern], binding: Binding) -> int:
-        """Greedy ordering: choose the pattern with the fewest estimated
-        matches once current bindings are substituted in."""
-        best_index = 0
-        best_cost = None
-        for i, pattern in enumerate(patterns):
-            substituted = pattern.substitute(binding)
-            if len(patterns) > 1:
-                self.stats.count_probes += 1
-                cost = self.store.count(substituted)
-            else:
-                cost = 0
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_index = i
-            if best_cost == 0:
-                break
-        return best_index
 
     # ------------------------------------------------------------------
     # Non-BGP operators

@@ -10,20 +10,16 @@ with the classic plan-once / execute-batched split:
   selectivity (bound-term shape + the store's per-predicate and distinct
   subject/object statistics) with a bound-variable-aware connectivity
   tiebreak, so execution never calls ``store.count``;
-- :class:`BGPPlan.execute` pushes *vectors* of bindings through each
-  pattern via :meth:`~repro.store.TripleStore.match_bindings`, which
-  walks the SPO/POS/OSP indexes directly (no intermediate ``Triple``
-  allocation, no re-match) and build/probes when bound join values
-  repeat across the batch;
-- :meth:`BGPPlan.execute_ids` is the dictionary-mode kernel: the plan
-  assigns every variable a dense *slot*, encodes the query's ground
+- :meth:`BGPPlan.execute_ids` is the execution kernel: the plan
+  assigns every variable a dense *slot*, resolves the query's ground
   terms to interned IDs once, and pushes vectors of slot-mapped integer
-  rows through :meth:`~repro.store.TripleStore.extend_id_rows`.  No
-  binding dicts, no term hashing, no decode until the caller
-  materializes results;
+  rows through :meth:`~repro.store.TripleStore.extend_id_rows`, which
+  walks the SPO/POS/OSP indexes directly and build/probes when bound
+  join values repeat across the batch.  No binding dicts, no term
+  hashing, no decode until the caller materializes results;
 - :class:`EvaluatorStats` counts what happened (plans built, cache hits,
-  batches, intermediate rows, legacy count probes, dictionary traffic,
-  per-phase wall time) so endpoint compute can be attributed end to end.
+  batches, intermediate rows, per-phase wall time) so endpoint compute
+  can be attributed end to end.
 
 Streams stay lazy at *block* granularity: each stage pulls at most
 ``batch_size`` bindings from the stage above before producing output, so
@@ -54,29 +50,16 @@ class EvaluatorStats:
     patterns_evaluated: int = 0
     batches: int = 0
     intermediate_rows: int = 0
-    #: legacy per-binding ``store.count`` ordering probes (planned
-    #: execution never increments this — the microbenchmark asserts it)
-    count_probes: int = 0
-    #: terms newly interned into the store dictionary during evaluation
-    #: (query constants and injected VALUES bindings; data interns at load)
-    terms_interned: int = 0
-    #: dictionary encode/lookup calls answered from the intern table
-    dictionary_hits: int = 0
     plan_seconds: float = 0.0
     #: total BGP evaluation wall time (includes plan_seconds)
     exec_seconds: float = 0.0
     #: time spent decoding interned IDs back to terms at result
     #: materialization (the select fast path's ID→term boundary)
     decode_seconds: float = 0.0
-    #: batches executed through the columnar vectorized block kernel
-    #: (zero on nested-dict stores — the ablation's observable)
-    columnar_blocks: int = 0
 
     _FIELDS = (
         "plans_built", "plan_cache_hits", "patterns_evaluated", "batches",
-        "intermediate_rows", "count_probes", "terms_interned",
-        "dictionary_hits", "plan_seconds", "exec_seconds", "decode_seconds",
-        "columnar_blocks",
+        "intermediate_rows", "plan_seconds", "exec_seconds", "decode_seconds",
     )
 
     def snapshot(self) -> Dict[str, float]:
@@ -149,88 +132,72 @@ class BGPPlan:
     """An ordered BGP execution pipeline, built once and reused.
 
     Beyond the pattern order, the plan owns the query's *slot map*: every
-    variable the BGP can bind gets a dense integer slot (externally bound
-    variables first, sorted by name; then pattern variables in plan order
-    of first appearance).  Dictionary-mode execution represents each
-    intermediate solution as a list of interned IDs aligned to these
-    slots, so the compiled stage descriptors below are pure integers.
+    variable a pattern mentions gets a dense integer slot (externally
+    bound variables first, sorted by name; then the rest in plan order of
+    first appearance).  Each intermediate solution is a list of interned
+    IDs aligned to these slots, so the compiled stage descriptors below
+    are pure integers.  Externally bound variables no pattern mentions
+    get no slot: the caller carries them past the BGP untouched.
     """
 
-    __slots__ = ("order", "bound_in", "store_version", "slot_vars", "_id_stages")
+    __slots__ = ("order", "store_version", "slot_vars", "bound_slots", "stages")
 
     def __init__(
         self,
         order: Sequence[TriplePattern],
         bound_in: FrozenSet[Variable],
-        store_version: int,
+        store,
     ):
         self.order: Tuple[TriplePattern, ...] = tuple(order)
-        self.bound_in = bound_in
         #: the store mutation counter this plan's statistics reflect
-        self.store_version = store_version
+        self.store_version: int = store.version
+        mentioned = [
+            term
+            for pattern in self.order
+            for term in pattern.as_tuple()
+            if isinstance(term, Variable)
+        ]
         #: slot i holds the value of ``slot_vars[i]`` in every ID row
-        slot_vars: List[Variable] = sorted(bound_in, key=lambda v: v.name)
+        slot_vars: List[Variable] = sorted(
+            bound_in.intersection(mentioned), key=lambda v: v.name
+        )
+        #: slots ``[0, bound_slots)`` must be filled in every input row
+        self.bound_slots: int = len(slot_vars)
         seen = set(slot_vars)
-        for pattern in self.order:
-            for term in pattern.as_tuple():
-                if isinstance(term, Variable) and term not in seen:
-                    seen.add(term)
-                    slot_vars.append(term)
+        for variable in mentioned:
+            if variable not in seen:
+                seen.add(variable)
+                slot_vars.append(variable)
         self.slot_vars: Tuple[Variable, ...] = tuple(slot_vars)
-        #: per-pattern ``(consts, slots, key_slots)`` descriptors, compiled
-        #: lazily against the store's dictionary (IDs are append-only
-        #: stable, so once compiled they stay valid for the plan's life)
-        self._id_stages: Optional[Tuple[tuple, ...]] = None
+        #: per-pattern integer descriptors (see :meth:`_compile`), or
+        #: ``None`` when the BGP names a ground term the store has never
+        #: seen and therefore has no solutions.  IDs are append-only
+        #: stable and a store mutation replaces the plan, so compiling
+        #: once is enough.
+        self.stages: Optional[Tuple[tuple, ...]] = self._compile(
+            store.dictionary.lookup
+        )
 
     def __repr__(self) -> str:
         inside = ", ".join(p.n3() for p in self.order)
         return f"BGPPlan([{inside}])"
 
-    # ------------------------------------------------------------------
-
-    def execute(
-        self,
-        store,
-        bindings: Iterable[dict],
-        stats: EvaluatorStats = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator[dict]:
-        """Push binding dicts through every pattern, block-at-a-time.
-
-        This is the term-native path (``use_dictionary=False`` stores and
-        external callers); dictionary-mode evaluation goes through
-        :meth:`execute_ids`.
-        """
-        if stats is not None:
-            stats.patterns_evaluated += len(self.order)
-        stream: Iterator[dict] = iter(bindings)
-        for pattern in self.order:
-            stream = _stage(store, pattern, stream, stats, batch_size)
-        if stats is None:
-            return stream
-        return _count_rows(stream, stats)
-
-    # ------------------------------------------------------------------
-
-    def id_stages(self, dictionary) -> Tuple[tuple, ...]:
-        """Compile (once) the integer stage descriptors for this plan.
+    def _compile(self, lookup) -> Optional[Tuple[tuple, ...]]:
+        """The integer stage descriptors
+        ``(consts, bound_positions, key_slots, free, checks)`` that
+        :meth:`~repro.store.TripleStore.extend_id_rows` consumes.
 
         Because the plan's dataflow is static — a slot is bound at stage
-        *k* iff its variable is in ``bound_in`` or appears in an earlier
-        pattern — each pattern's shape analysis (which positions read
-        group keys, which bind free slots, which repeated-variable
-        equality checks apply) happens here, once, instead of per group
-        at execution time.  Ground terms encode via
-        ``dictionary.encode`` — a constant the data never mentions gets a
-        fresh ID that matches nothing, which is exactly the semantics of
-        an empty index walk.
+        *k* iff it is one of the ``bound_slots`` or its variable appears
+        in an earlier pattern — each pattern's shape analysis (which
+        positions read group keys, which bind free slots, which
+        repeated-variable equality checks apply) happens here, once,
+        instead of per group at execution time.  Ground terms resolve
+        through ``lookup``, which never interns: query traffic must not
+        grow the endpoint's dictionary.
         """
-        stages = self._id_stages
-        if stages is not None:
-            return stages
         var_slot = {v: i for i, v in enumerate(self.slot_vars)}
-        encode = dictionary.encode
-        bound_slots = {var_slot[v] for v in self.bound_in}
+        bound_now = set(range(self.bound_slots))
         compiled = []
         for pattern in self.order:
             consts: List[Optional[int]] = [None, None, None]
@@ -242,10 +209,13 @@ class BGPPlan:
             checks: List[Tuple[int, int]] = []
             for pos, term in enumerate(pattern.as_tuple()):
                 if not isinstance(term, Variable):
-                    consts[pos] = encode(term)
+                    tid = lookup(term)
+                    if tid is None:
+                        return None
+                    consts[pos] = tid
                     continue
                 slot = var_slot[term]
-                if slot in bound_slots:
+                if slot in bound_now:
                     ki = key_index.get(slot)
                     if ki is None:
                         ki = len(key_slots)
@@ -268,9 +238,8 @@ class BGPPlan:
                     tuple(checks),
                 )
             )
-            bound_slots.update(var_slot[v] for v in pattern.variables())
-        self._id_stages = stages = tuple(compiled)
-        return stages
+            bound_now.update(var_slot[v] for v in pattern.variables())
+        return tuple(compiled)
 
     def execute_ids(
         self,
@@ -287,51 +256,14 @@ class BGPPlan:
         """
         if stats is not None:
             stats.patterns_evaluated += len(self.order)
+        if self.stages is None:
+            return iter(())
         stream: Iterator[List[Optional[int]]] = iter(rows)
-        for stage in self.id_stages(store.dictionary):
+        for stage in self.stages:
             stream = _id_stage(store, stage, stream, stats, batch_size)
         if stats is None:
             return stream
         return _count_rows(stream, stats)
-
-    def execute_blocks(
-        self,
-        store,
-        stats: EvaluatorStats = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ):
-        """Whole-pipeline columnar execution; returns the final ``Block``.
-
-        Solutions stay in column form from the seed row to the last
-        pattern — no per-row lists exist anywhere.  Each stage's input is
-        re-chunked at ``batch_size`` rows before hitting the vectorized
-        kernel, which reproduces exactly the group boundaries (and hence
-        the output order) of the row pipeline in :meth:`execute_ids`.
-        Requires a columnar store with numpy available; pure-BGP SELECTs
-        are the caller (decode happens per column at materialization).
-        """
-        from ..store.columnar import Block
-
-        columnar = store.columnar
-        if stats is not None:
-            stats.patterns_evaluated += len(self.order)
-        n_slots = len(self.slot_vars)
-        block = Block.from_rows([[None] * n_slots], n_slots)
-        for stage in self.id_stages(store.dictionary):
-            parts = []
-            for start in range(0, block.n, batch_size):
-                sub = block.slice(start, min(start + batch_size, block.n))
-                if stats is not None:
-                    stats.batches += 1
-                    stats.intermediate_rows += sub.n
-                    stats.columnar_blocks += 1
-                parts.append(columnar.extend_block(stage, sub))
-            block = Block.concat(parts, n_slots)
-            if not block.n:
-                break
-        if stats is not None:
-            stats.intermediate_rows += block.n
-        return block
 
 
 def _count_rows(stream: Iterator, stats: EvaluatorStats) -> Iterator:
@@ -340,28 +272,6 @@ def _count_rows(stream: Iterator, stats: EvaluatorStats) -> Iterator:
     for row in stream:
         stats.intermediate_rows += 1
         yield row
-
-
-def _stage(
-    store,
-    pattern: TriplePattern,
-    upstream: Iterator[dict],
-    stats: EvaluatorStats,
-    batch_size: int,
-) -> Iterator[dict]:
-    """One pipeline stage: extend upstream bindings against one pattern.
-
-    Stats are counted per *chunk* (already materialized for the islice
-    pull), never per row — the row loop itself stays allocation-free.
-    """
-    while True:
-        chunk = list(islice(upstream, batch_size))
-        if not chunk:
-            return
-        if stats is not None:
-            stats.batches += 1
-            stats.intermediate_rows += len(chunk)
-        yield from store.match_bindings(pattern, chunk)
 
 
 def _id_stage(
@@ -415,7 +325,7 @@ def build_plan(
         remaining.remove(best)
         order.append(best[1])
         bound_now |= best[1].variables()
-    plan = BGPPlan(order, frozenset(bound), getattr(store, "version", 0))
+    plan = BGPPlan(order, frozenset(bound), store)
     if stats is not None:
         stats.plans_built += 1
         stats.plan_seconds += time.perf_counter() - started

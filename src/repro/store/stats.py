@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet
 
 from ..rdf.namespace import RDF_TYPE
-from ..rdf.term import GroundTerm, IRI
+from ..rdf.term import GroundTerm, IRI, Variable
+from ..rdf.triple import TriplePattern
 from .triplestore import TripleStore
 
 
@@ -46,10 +47,9 @@ class VoidDescription:
                 distinct_subjects=store.distinct_subject_count(predicate),
                 distinct_objects=store.distinct_object_count(predicate),
             )
-        # count-only accessor: instance totals per class come straight
-        # from the store's per-predicate object statistics, without
-        # streaming (and decoding) every rdf:type triple
-        description.classes.update(store.object_counts(RDF_TYPE))
+        type_pattern = TriplePattern(Variable("s"), RDF_TYPE, Variable("c"))
+        for _s, _p, cls_term in store.match_terms(type_pattern):
+            description.classes[cls_term] = description.classes.get(cls_term, 0) + 1
         return description
 
 
@@ -67,9 +67,6 @@ class AuthoritySummary:
 
     @classmethod
     def from_store(cls, store: TripleStore) -> "AuthoritySummary":
-        from ..rdf.triple import TriplePattern
-        from ..rdf.term import Variable
-
         summary = cls()
         for predicate in store.predicates():
             subject_auths = set()

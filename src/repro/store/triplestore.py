@@ -7,26 +7,24 @@ subject counts) are maintained incrementally — these are exactly the
 "lightweight per-triple statistics" the paper's cost model relies on
 (Section 4.1), and what the compile-once BGP planner orders patterns by.
 
-**Dictionary encoding.** By default every ground term is interned into a
+**Dictionary encoding.** Every ground term is interned into a
 :class:`~repro.rdf.dictionary.TermDictionary` at :meth:`add` and the
 three indexes are keyed by dense ``int`` IDs, so index walks, batch
 probes, and membership tests hash and compare machine integers instead
 of term objects.  Terms are decoded back only at the public term-level
 surfaces (:meth:`match`, :meth:`match_terms`, :meth:`triples`, the
-statistics accessors).  ``use_dictionary=False`` keeps the term-keyed
-representation as the ablation baseline; both modes enumerate matches in
-identical order because all index levels are insertion-ordered dicts.
+statistics accessors).  All index levels are insertion-ordered dicts, so
+enumeration order is a function of the load order alone.  Read paths
+resolve ground terms with ``lookup``, never ``encode``: asking about a
+term the data never mentions answers empty and leaves the dictionary as
+it was.
 
-Three lookup surfaces exist:
+Two lookup surfaces exist:
 
 - :meth:`match` / :meth:`match_terms` — classic single-pattern matching;
-- :meth:`match_bindings` — the batch compatibility path used by the
-  planned BGP executor on term-keyed stores: a whole vector of binding
-  dicts is pushed through one pattern, bindings agreeing on the
-  pattern's bound variables share one index walk (build/probe), and
-  extended bindings are produced directly from the index leaves;
-- :meth:`extend_id_rows` — the ID-native kernel (dictionary mode only):
-  vectors of slot-mapped integer rows go in and come out, with no term
+- :meth:`extend_id_rows` — the ID-native batch kernel: vectors of
+  slot-mapped integer rows go in and come out, rows agreeing on the
+  pattern's bound slots share one index walk (build/probe), with no term
   objects, binding dicts, or :class:`Triple` allocations anywhere in the
   loop.  This is what :class:`~repro.sparql.plan.BGPPlan` drives.
 """
@@ -38,12 +36,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from ..rdf.dictionary import TermDictionary
 from ..rdf.term import GroundTerm, Variable
 from ..rdf.triple import Triple, TriplePattern
-from .columnar import Block, ColumnarStore
 
-#: index key: a dense term ID (dictionary mode) or the term itself
-#: (``use_dictionary=False``); all three index levels are dicts, so
-#: iteration order is insertion order in both modes.
-_Index = Dict[object, Dict[object, Dict[object, None]]]
+#: all three index levels are dicts keyed by dense term IDs, so iteration
+#: order is insertion order.
+_Index = Dict[int, Dict[int, Dict[int, None]]]
 _Terms = Tuple[GroundTerm, GroundTerm, GroundTerm]
 
 #: returned by ``_key`` for a ground term the dictionary has never seen —
@@ -72,44 +68,20 @@ def _index_remove(index: _Index, a, b, c) -> None:
 class TripleStore:
     """Indexed set of ground triples with pattern matching and counting."""
 
-    def __init__(
-        self,
-        triples: Optional[Iterable[Triple]] = None,
-        use_dictionary: bool = True,
-        dictionary: Optional[TermDictionary] = None,
-        use_columnar: bool = False,
-        shards: int = 1,
-        parallel: Optional[bool] = None,
-    ):
-        #: the intern table, or ``None`` for the term-keyed ablation mode
-        self.dictionary: Optional[TermDictionary] = (
-            (dictionary if dictionary is not None else TermDictionary())
-            if use_dictionary
-            else None
-        )
-        if use_columnar and self.dictionary is None:
-            raise ValueError("use_columnar=True requires use_dictionary=True")
-        #: columnar ID backend (sorted runs over subject shards), or
-        #: ``None`` for the nested-dict indexes below
-        self.columnar: Optional[ColumnarStore] = (
-            ColumnarStore(shards=shards, parallel=parallel)
-            if use_columnar
-            else None
-        )
+    def __init__(self, triples: Optional[Iterable[Triple]] = None):
+        #: the intern table every index key comes from
+        self.dictionary = TermDictionary()
         self._spo: _Index = {}
         self._pos: _Index = {}
         self._osp: _Index = {}
         self._size = 0
-        self._predicate_counts: Dict[object, int] = {}
+        self._predicate_counts: Dict[int, int] = {}
         #: per (predicate, subject) triple counts — len() per predicate
         #: gives distinct subjects in O(1)
-        self._pred_subjects: Dict[object, Dict[object, int]] = {}
+        self._pred_subjects: Dict[int, Dict[int, int]] = {}
         #: bumped on every successful add/remove; cached BGP plans carry
         #: the version their statistics reflect
         self._version = 0
-        #: how many times :meth:`count` ran (the evaluator microbenchmark
-        #: asserts planned execution stopped per-binding probing)
-        self.count_calls = 0
         if triples is not None:
             self.add_all(triples)
 
@@ -119,10 +91,7 @@ class TripleStore:
 
     def _key(self, term: GroundTerm):
         """Index key for a ground term; ``_ABSENT`` when it cannot match."""
-        d = self.dictionary
-        if d is None:
-            return term
-        tid = d.lookup(term)
+        tid = self.dictionary.lookup(term)
         return _ABSENT if tid is None else tid
 
     # ------------------------------------------------------------------
@@ -131,17 +100,10 @@ class TripleStore:
 
     def add(self, triple: Triple) -> bool:
         """Add a triple; return ``True`` if it was not already present."""
-        s, p, o = triple.subject, triple.predicate, triple.object
-        d = self.dictionary
-        if d is not None:
-            s, p, o = d.encode(s), d.encode(p), d.encode(o)
-        col = self.columnar
-        if col is not None:
-            if col.add(s, p, o):
-                self._size += 1
-                self._version += 1
-                return True
-            return False
+        encode = self.dictionary.encode
+        s = encode(triple.subject)
+        p = encode(triple.predicate)
+        o = encode(triple.object)
         existing = self._spo.get(s, {}).get(p)
         if existing is not None and o in existing:
             return False
@@ -156,22 +118,7 @@ class TripleStore:
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Add many triples; return the number actually inserted.
-
-        Columnar stores take the bulk path: every term interns through
-        one tight loop and the sorted runs are rebuilt once for the whole
-        batch (at the next read) instead of per triple.
-        """
-        col = self.columnar
-        if col is not None:
-            encode = self.dictionary.encode
-            inserted = col.add_many(
-                (encode(t.subject), encode(t.predicate), encode(t.object))
-                for t in triples
-            )
-            self._size += inserted
-            self._version += inserted
-            return inserted
+        """Add many triples; return the number actually inserted."""
         inserted = 0
         for triple in triples:
             if self.add(triple):
@@ -189,13 +136,6 @@ class TripleStore:
         p = self._key(triple.predicate)
         o = self._key(triple.object)
         if s is _ABSENT or p is _ABSENT or o is _ABSENT:
-            return False
-        col = self.columnar
-        if col is not None:
-            if col.remove(s, p, o):
-                self._size -= 1
-                self._version += 1
-                return True
             return False
         existing = self._spo.get(s, {}).get(p)
         if existing is None or o not in existing:
@@ -243,37 +183,14 @@ class TripleStore:
         return self._contains_ids(s, p, o)
 
     def _contains_ids(self, s, p, o) -> bool:
-        """Membership on raw index keys (dispatches to the backend)."""
-        col = self.columnar
-        if col is not None:
-            return col.contains(s, p, o)
         objects = self._spo.get(s, {}).get(p)
         return objects is not None and o in objects
-
-    def _raw_stream(self, s, p, o) -> Iterator[Tuple[object, object, object]]:
-        """Raw-key wildcard matching (dispatches to the backend)."""
-        col = self.columnar
-        if col is not None:
-            return col.match_ids(s, p, o)
-        return self._match_raw(s, p, o)
 
     def __iter__(self) -> Iterator[Triple]:
         return self.triples()
 
     def triples(self) -> Iterator[Triple]:
-        d = self.dictionary
-        if self.columnar is not None:
-            dec = d.decode
-            for s, p, o in self.columnar.match_ids(None, None, None):
-                yield Triple(dec(s), dec(p), dec(o))
-            return
-        if d is None:
-            for s, by_predicate in self._spo.items():
-                for p, objects in by_predicate.items():
-                    for o in objects:
-                        yield Triple(s, p, o)
-            return
-        dec = d.decode
+        dec = self.dictionary.decode
         for s, by_predicate in self._spo.items():
             subject = dec(s)
             for p, objects in by_predicate.items():
@@ -293,14 +210,14 @@ class TripleStore:
     def match_terms(self, pattern: TriplePattern) -> Iterator[_Terms]:
         """Like :meth:`match` but yields raw ``(s, p, o)`` term tuples,
         skipping the :class:`Triple` allocation.  This is the term-level
-        compatibility surface: in dictionary mode the walk runs on IDs
-        and each match is decoded exactly here."""
+        compatibility surface: the walk runs on IDs and each match is
+        decoded exactly here."""
         s = None if isinstance(pattern.subject, Variable) else self._key(pattern.subject)
         p = None if isinstance(pattern.predicate, Variable) else self._key(pattern.predicate)
         o = None if isinstance(pattern.object, Variable) else self._key(pattern.object)
         if s is _ABSENT or p is _ABSENT or o is _ABSENT:
             return iter(())
-        stream = self._raw_stream(s, p, o)
+        stream = self._match_raw(s, p, o)
         constraints = _equality_constraints(pattern)
         if constraints:
             # Keys are equal iff the terms are, so constraints apply pre-decode.
@@ -309,13 +226,10 @@ class TripleStore:
                 for keys in stream
                 if all(keys[i] == keys[j] for i, j in constraints)
             )
-        d = self.dictionary
-        if d is None:
-            return stream
-        dec = d.decode
+        dec = self.dictionary.decode
         return ((dec(a), dec(b), dec(c)) for a, b, c in stream)
 
-    def _match_raw(self, s, p, o) -> Iterator[Tuple[object, object, object]]:
+    def _match_raw(self, s, p, o) -> Iterator[Tuple[int, int, int]]:
         """Index walk over raw keys; ``None`` positions are wildcards."""
         if s is not None:
             by_predicate = self._spo.get(s)
@@ -372,134 +286,8 @@ class TripleStore:
                     yield (s_, p_, o_)
 
     # ------------------------------------------------------------------
-    # Batch matching (the planned executor's paths)
+    # Batch matching (the planned executor's path)
     # ------------------------------------------------------------------
-
-    def match_bindings(
-        self, pattern: TriplePattern, bindings: Iterable[dict]
-    ) -> Iterator[dict]:
-        """Extend each binding in ``bindings`` with matches of ``pattern``.
-
-        Bindings are grouped by the values they give the pattern's
-        variables, so bindings sharing bound join values pay for a single
-        index walk (build/probe hash join); extensions come straight off
-        the index leaves, with no ``Triple`` allocation or re-match.  A
-        binding that adds no new variables is yielded as-is (callers
-        never mutate solution dicts in place).
-
-        This is the term-dict compatibility surface: bound values encode
-        once per group and leaf IDs decode once per extension.  The
-        ID-native executor uses :meth:`extend_id_rows` instead.
-        """
-        base = pattern.as_tuple()
-        pattern_vars: List[Variable] = []
-        var_index: Dict[Variable, int] = {}
-        for term in base:
-            if isinstance(term, Variable) and term not in var_index:
-                var_index[term] = len(pattern_vars)
-                pattern_vars.append(term)
-        d = self.dictionary
-        if not pattern_vars:
-            # Ground pattern: pure filter on presence.
-            k0, k1, k2 = self._key(base[0]), self._key(base[1]), self._key(base[2])
-            if k0 is _ABSENT or k1 is _ABSENT or k2 is _ABSENT:
-                return
-            if self._contains_ids(k0, k1, k2):
-                yield from bindings
-            return
-        #: per position: index into ``pattern_vars`` or None for ground
-        slots = tuple(
-            var_index[t] if isinstance(t, Variable) else None for t in base
-        )
-        base_keys = [
-            None if slot is not None else self._key(base[pos])
-            for pos, slot in enumerate(slots)
-        ]
-        if any(key is _ABSENT for key in base_keys):
-            return
-        groups: Dict[tuple, List[dict]] = {}
-        for binding in bindings:
-            key = tuple([binding.get(v) for v in pattern_vars])
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [binding]
-            else:
-                group.append(binding)
-        for key, members in groups.items():
-            # Concrete query keys for this group; None means free.
-            query = [
-                base_keys[pos]
-                if slot is None
-                else (None if key[slot] is None else self._key(key[slot]))
-                for pos, slot in enumerate(slots)
-            ]
-            if any(k is _ABSENT for k in query):
-                continue
-            free = [
-                (pos, pattern_vars[slot])
-                for pos, slot in enumerate(slots)
-                if slot is not None and key[slot] is None
-            ]
-            if not free:
-                # Fully bound for this group: membership test only.
-                if self._contains_ids(query[0], query[1], query[2]):
-                    yield from members
-                continue
-            stream = self._raw_stream(query[0], query[1], query[2])
-            if len(free) > 1:
-                # Repeated free variables force equality constraints.
-                first_pos: Dict[Variable, int] = {}
-                checks = []
-                unique = []
-                for pos, var in free:
-                    if var in first_pos:
-                        checks.append((first_pos[var], pos))
-                    else:
-                        first_pos[var] = pos
-                        unique.append((pos, var))
-                if checks:
-                    stream = (
-                        t for t in stream
-                        if all(t[a] == t[b] for a, b in checks)
-                    )
-                    free = unique
-            if len(members) == 1:
-                binding = members[0]
-                if d is None:
-                    for terms in stream:
-                        merged = dict(binding)
-                        for pos, var in free:
-                            merged[var] = terms[pos]
-                        yield merged
-                else:
-                    dec = d.decode
-                    for terms in stream:
-                        merged = dict(binding)
-                        for pos, var in free:
-                            merged[var] = dec(terms[pos])
-                        yield merged
-            else:
-                # Build once, probe per member: output is |members| ×
-                # |extensions| rows, so materializing the extension
-                # tuples is bounded by the output size.
-                if d is None:
-                    extensions = [
-                        tuple([terms[pos] for pos, _ in free])
-                        for terms in stream
-                    ]
-                else:
-                    dec = d.decode
-                    extensions = [
-                        tuple([dec(terms[pos]) for pos, _ in free])
-                        for terms in stream
-                    ]
-                variables = [var for _, var in free]
-                for binding in members:
-                    for extension in extensions:
-                        merged = dict(binding)
-                        for var, term in zip(variables, extension):
-                            merged[var] = term
-                        yield merged
 
     def extend_id_rows(
         self,
@@ -509,7 +297,7 @@ class TripleStore:
         """ID-native batch kernel: extend slot-mapped integer rows.
 
         ``stage`` is a compiled descriptor (see
-        :meth:`~repro.sparql.plan.BGPPlan.id_stages`) —
+        :attr:`~repro.sparql.plan.BGPPlan.stages`) —
         ``(consts, bound_positions, key_slots, free, checks)``:
 
         - ``consts``: per position, the ground term's interned ID or
@@ -530,26 +318,7 @@ class TripleStore:
         3-element list copy.  Rows are lists of interned IDs; output
         rows are fresh lists (inputs never mutated); everything in the
         loop hashes machine integers — no terms, dicts, or Triples.
-
-        On a columnar store with numpy available, the whole batch runs
-        through the vectorized :meth:`ColumnarStore.extend_block` kernel
-        (identical semantics, rows and order); otherwise the generic
-        per-group loop below probes whichever backend is active.
         """
-        col = self.columnar
-        if col is not None and col.vectorized:
-            rows = rows if isinstance(rows, list) else list(rows)
-            if not rows:
-                return iter(())
-            block = Block.from_rows(rows, len(rows[0]))
-            return iter(col.extend_block(stage, block).to_rows())
-        return self._extend_id_rows_generic(stage, rows)
-
-    def _extend_id_rows_generic(
-        self,
-        stage: tuple,
-        rows: Iterable[List[Optional[int]]],
-    ) -> Iterator[List[Optional[int]]]:
         consts, bound_positions, key_slots, free, checks = stage
         groups: Dict[object, list]
         if not key_slots:
@@ -590,7 +359,7 @@ class TripleStore:
                 if self._contains_ids(query[0], query[1], query[2]):
                     yield from members
                 continue
-            stream = self._raw_stream(query[0], query[1], query[2])
+            stream = self._match_raw(query[0], query[1], query[2])
             if checks:
                 stream = (
                     t for t in stream
@@ -628,7 +397,6 @@ class TripleStore:
         Fast paths avoid materializing matches for the common shapes used
         by the cost model (fully unbound, predicate-bound, etc.).
         """
-        self.count_calls += 1
         s_var = isinstance(pattern.subject, Variable)
         p_var = isinstance(pattern.predicate, Variable)
         o_var = isinstance(pattern.object, Variable)
@@ -641,25 +409,6 @@ class TripleStore:
             return self._size
         if not s_var and not p_var and not o_var:
             return 1 if Triple(pattern.subject, pattern.predicate, pattern.object) in self else 0
-        col = self.columnar
-        if col is not None:
-            # every bound shape answers from the rank tables in O(1)
-            ks = None if s_var else self._key(pattern.subject)
-            kp = None if p_var else self._key(pattern.predicate)
-            ko = None if o_var else self._key(pattern.object)
-            if ks is _ABSENT or kp is _ABSENT or ko is _ABSENT:
-                return 0
-            if s_var and o_var:
-                return col.predicate_count(kp)
-            if p_var and o_var:
-                return col.subject_count(ks)
-            if s_var and p_var:
-                return col.object_count(ko)
-            if s_var:
-                return col.pair_po_count(kp, ko)
-            if o_var:
-                return col.pair_sp_count(ks, kp)
-            return col.pair_so_count(ks, ko)
         if s_var and o_var:  # only predicate bound
             return self._predicate_counts.get(self._key(pattern.predicate), 0)
         if p_var and o_var:  # only subject bound
@@ -688,84 +437,39 @@ class TripleStore:
     # Statistics
     # ------------------------------------------------------------------
 
-    def _decode_keys(self, keys: Iterable[object]) -> Set[GroundTerm]:
-        d = self.dictionary
-        if d is None:
-            return set(keys)
-        dec = d.decode
-        return {dec(k) for k in keys}
+    def _decode_keys(self, keys: Iterable[int]) -> Set[GroundTerm]:
+        return set(self.dictionary.decode_many(keys))
 
     def predicates(self) -> Set[GroundTerm]:
-        if self.columnar is not None:
-            return self._decode_keys(self.columnar.predicate_ids())
         return self._decode_keys(self._predicate_counts)
 
     def predicate_count(self, predicate: GroundTerm) -> int:
         key = self._key(predicate)
         if key is _ABSENT:
             return 0
-        if self.columnar is not None:
-            return self.columnar.predicate_count(key)
         return self._predicate_counts.get(key, 0)
 
     def subjects(self, predicate: Optional[GroundTerm] = None) -> Set[GroundTerm]:
-        col = self.columnar
         if predicate is None:
-            if col is not None:
-                return self._decode_keys(col.subject_ids())
             return self._decode_keys(self._spo)
         key = self._key(predicate)
         if key is _ABSENT:
             return set()
-        if col is not None:
-            return self._decode_keys(col.subject_ids_for(key))
         return self._decode_keys(self._pred_subjects.get(key, ()))
 
     def objects(self, predicate: Optional[GroundTerm] = None) -> Set[GroundTerm]:
-        col = self.columnar
         if predicate is None:
-            if col is not None:
-                return self._decode_keys(col.object_ids())
             return self._decode_keys(self._osp)
         key = self._key(predicate)
         if key is _ABSENT:
             return set()
-        if col is not None:
-            return self._decode_keys(col.object_ids_for(key))
         return self._decode_keys(self._pos.get(key, ()))
-
-    def object_counts(self, predicate: GroundTerm) -> Dict[GroundTerm, int]:
-        """Triple count per distinct object of ``predicate``.
-
-        Each distinct object decodes exactly once — the count-only path
-        VOID-style statistics builders should use instead of
-        materializing and decoding every matching triple.
-        """
-        key = self._key(predicate)
-        if key is _ABSENT:
-            return {}
-        d = self.dictionary
-        if self.columnar is not None:
-            dec = d.decode
-            return {
-                dec(o): count
-                for o, count in self.columnar.object_counts(key).items()
-            }
-        by_object = self._pos.get(key)
-        if not by_object:
-            return {}
-        if d is None:
-            return {o: len(subs) for o, subs in by_object.items()}
-        dec = d.decode
-        return {dec(o): len(subs) for o, subs in by_object.items()}
 
     def subject_predicate_count(self, subject: GroundTerm, predicate: GroundTerm) -> int:
         """Exact triple count for a ground (subject, predicate) pair, O(1)."""
         ks, kp = self._key(subject), self._key(predicate)
         if ks is _ABSENT or kp is _ABSENT:
             return 0
-        if self.columnar is not None:
-            return self.columnar.pair_sp_count(ks, kp)
         return len(self._spo.get(ks, {}).get(kp, ()))
 
     def predicate_object_count(self, predicate: GroundTerm, object: GroundTerm) -> int:
@@ -773,39 +477,27 @@ class TripleStore:
         kp, ko = self._key(predicate), self._key(object)
         if kp is _ABSENT or ko is _ABSENT:
             return 0
-        if self.columnar is not None:
-            return self.columnar.pair_po_count(kp, ko)
         return len(self._pos.get(kp, {}).get(ko, ()))
 
     def distinct_subject_count(self, predicate: GroundTerm) -> int:
         key = self._key(predicate)
         if key is _ABSENT:
             return 0
-        if self.columnar is not None:
-            return self.columnar.distinct_subject_count(key)
         return len(self._pred_subjects.get(key, ()))
 
     def distinct_object_count(self, predicate: GroundTerm) -> int:
         key = self._key(predicate)
         if key is _ABSENT:
             return 0
-        if self.columnar is not None:
-            return self.columnar.distinct_object_count(key)
         return len(self._pos.get(key, ()))
 
     def distinct_subjects_total(self) -> int:
-        if self.columnar is not None:
-            return self.columnar.distinct_subjects()
         return len(self._spo)
 
     def distinct_objects_total(self) -> int:
-        if self.columnar is not None:
-            return self.columnar.distinct_objects()
         return len(self._osp)
 
     def distinct_predicates_total(self) -> int:
-        if self.columnar is not None:
-            return self.columnar.distinct_predicates()
         return len(self._predicate_counts)
 
 

@@ -1,0 +1,98 @@
+"""Reference implementations the differential tests compare ``src/`` to.
+
+``src/`` has one store and one BGP evaluator; what used to be kept there
+as alternative *modes* lives here as oracles instead:
+
+- :func:`reference_bgp` — exhaustive nested-loop join over
+  ``store.triples()``: no indexes, no join ordering, no shortcuts;
+- :class:`SeedEvaluator` — the seed's per-binding recursive joiner, which
+  re-orders the remaining patterns by ``store.count`` for every
+  intermediate binding and matches through the term-level
+  ``store.match`` surface.  Everything above the BGP (OPTIONAL, MINUS,
+  FILTER EXISTS, sub-SELECT, aggregation) is the production evaluator's
+  code, so a differential against it isolates the planned ID pipeline.
+
+Neither promises a row *order*: compare as multisets (``rows_multiset``).
+Order is pinned separately by the golden test in ``test_public_surface``.
+"""
+
+from typing import Dict, Iterator, List
+
+from repro.rdf import TriplePattern, Variable
+from repro.sparql import Evaluator
+from repro.store import TripleStore
+
+Binding = Dict[Variable, object]
+
+
+def reference_bgp(store: TripleStore, patterns: List[TriplePattern]) -> List[Binding]:
+    """Exhaustive nested-loop join, in syntactic pattern order."""
+    solutions: List[Binding] = [{}]
+    for pattern in patterns:
+        next_solutions = []
+        for binding in solutions:
+            for triple in store.triples():
+                match = pattern.substitute(binding).matches(triple)
+                if match is not None:
+                    merged = dict(binding)
+                    merged.update(match)
+                    next_solutions.append(merged)
+        solutions = next_solutions
+    return solutions
+
+
+def rows_multiset(result):
+    """A SELECT result as a sorted multiset of row tuples.
+
+    OPTIONAL can leave cells unbound (``None``), and ``None`` does not
+    order against terms — sort by repr so mixed rows stay sortable.
+    """
+    return sorted(
+        (tuple(row) for row in result.rows),
+        key=lambda row: tuple("" if cell is None else repr(cell) for cell in row),
+    )
+
+
+class SeedEvaluator(Evaluator):
+    """The production evaluator with the seed's BGP joiner swapped in."""
+
+    def _select_bgp_fast(self, query):
+        # the decode-once shortcut runs the planned pipeline itself;
+        # without this a pure-BGP SELECT would never reach the joiner
+        return None
+
+    def _evaluate_bgp(
+        self, patterns: List[TriplePattern], initial: Binding
+    ) -> Iterator[Binding]:
+        return self._join_patterns(patterns, dict(initial))
+
+    def _join_patterns(
+        self, patterns: List[TriplePattern], binding: Binding
+    ) -> Iterator[Binding]:
+        if not patterns:
+            yield binding
+            return
+        remaining = list(patterns)
+        pattern = remaining.pop(self._pick_next_pattern(remaining, binding))
+        substituted = pattern.substitute(binding)
+        for triple in self.store.match(substituted):
+            match = substituted.matches(triple)
+            if match is None:
+                continue
+            extended = dict(binding)
+            extended.update(match)
+            yield from self._join_patterns(remaining, extended)
+
+    def _pick_next_pattern(self, patterns: List[TriplePattern], binding: Binding) -> int:
+        """Greedy ordering: choose the pattern with the fewest matches
+        once current bindings are substituted in."""
+        best_index = 0
+        best_cost = None
+        for i, pattern in enumerate(patterns):
+            cost = self.store.count(pattern.substitute(binding)) if len(patterns) > 1 else 0
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_index = i
+            if best_cost == 0:
+                break
+        return best_index

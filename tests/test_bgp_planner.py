@@ -6,9 +6,11 @@ import pytest
 
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import CountCache, ElasticRequestHandler, Federation, Request
-from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable, parse as nt_parse
+from repro.rdf import IRI, Triple, TriplePattern, Variable, parse as nt_parse
 from repro.sparql import Evaluator, EvaluatorStats, build_plan, parse_query
 from repro.store import TripleStore
+
+from .reference import SeedEvaluator
 
 UB = "http://ub/"
 
@@ -95,32 +97,19 @@ class TestPlanCache:
         evaluator.select(query)
         assert evaluator.stats.plans_built == 2
 
-    def test_no_count_probes_on_planned_path(self, store):
-        evaluator = Evaluator(store)
-        before = store.count_calls
-        evaluator.select(parse_query(self.QUERY))
-        assert evaluator.stats.count_probes == 0
-        assert store.count_calls == before
+    def test_no_count_probes_on_planned_path(self, store, monkeypatch):
+        def no_count(pattern):
+            raise AssertionError(f"planned execution probed count({pattern})")
 
-    def test_seed_path_probes_per_binding(self, store):
-        evaluator = Evaluator(store, use_planner=False)
-        evaluator.select(parse_query(f"""
-        SELECT ?s ?a ?t WHERE {{
-            ?s <{UB}type> ?t .
-            ?s <{UB}advisor> ?a .
-            ?a <{UB}type> ?t2 .
-        }}
-        """))
-        # one probe per remaining pattern per intermediate binding: with 20
-        # students the seed path probes far more than the 3 patterns
-        assert evaluator.stats.count_probes > 20
+        monkeypatch.setattr(store, "count", no_count)
+        assert len(Evaluator(store).select(parse_query(self.QUERY))) == 20
 
 
 class TestBatchExecution:
     def test_planned_equals_seed_rows(self, store):
         query = parse_query(self.__class__.QUERY)
         planned = Evaluator(store).select(query)
-        seed = Evaluator(store, use_planner=False).select(query)
+        seed = SeedEvaluator(store).select(query)
         assert sorted(map(tuple, planned.rows)) == sorted(map(tuple, seed.rows))
 
     QUERY = f"""
@@ -152,35 +141,69 @@ class TestBatchExecution:
         assert evaluator.stats.intermediate_rows <= 2 * Evaluator(store).batch_size
 
 
-class TestMatchBindings:
+class TestExtendIdRows:
+    """The batch kernel, driven the way the evaluator drives it: a plan
+    compiled against the store, ID rows in, ID rows out."""
+
+    @staticmethod
+    def _extend(store, pattern, bindings):
+        """Push binding dicts (all over the same variables) through one
+        pattern; returns the extended bindings, decoded."""
+        plan = build_plan(store, [pattern], frozenset(bindings[0]))
+        lookup, decode = store.dictionary.lookup, store.dictionary.decode
+        rows = [
+            [lookup(b[v]) if v in b else None for v in plan.slot_vars]
+            for b in bindings
+        ]
+        (stage,) = plan.stages
+        return [
+            {v: decode(tid) for v, tid in zip(plan.slot_vars, row)}
+            for row in store.extend_id_rows(stage, rows)
+        ]
+
     def test_repeated_variable_pattern(self):
         store = TripleStore([
             Triple(_iri("a"), _iri("p"), _iri("a")),
             Triple(_iri("a"), _iri("p"), _iri("b")),
         ])
         pattern = TriplePattern(Variable("x"), _iri("p"), Variable("x"))
-        out = list(store.match_bindings(pattern, [{}]))
-        assert out == [{Variable("x"): _iri("a")}]
+        assert self._extend(store, pattern, [{}]) == [{Variable("x"): _iri("a")}]
 
     def test_grouped_probe_shares_index_walk(self):
         store = TripleStore([
             Triple(_iri("s1"), _iri("p"), _iri("o1")),
-            Triple(_iri("s2"), _iri("p"), _iri("o2")),
+            Triple(_iri("s1"), _iri("p"), _iri("o2")),
+            Triple(_iri("s2"), _iri("p"), _iri("o3")),
         ])
         pattern = TriplePattern(Variable("s"), _iri("p"), Variable("o"))
-        x = Variable("x")
-        batch = [{x: Literal("1")}, {x: Literal("2")}]
-        out = list(store.match_bindings(pattern, batch))
-        # cross product: every input binding extended by every match
-        assert len(out) == 4
-        assert all(x in b and Variable("s") in b for b in out)
+        s = Variable("s")
+        batch = [{s: _iri("s1")}, {s: _iri("s2")}, {s: _iri("s1")}]
+        out = self._extend(store, pattern, batch)
+        # rows agreeing on ?s form one group: both s1 rows are extended
+        # (by both of s1's objects) before the s2 row, which came second
+        assert [(b[s], b[Variable("o")]) for b in out] == [
+            (_iri("s1"), _iri("o1")), (_iri("s1"), _iri("o2")),
+            (_iri("s1"), _iri("o1")), (_iri("s1"), _iri("o2")),
+            (_iri("s2"), _iri("o3")),
+        ]
 
     def test_fully_bound_membership(self):
-        store = TripleStore([Triple(_iri("s"), _iri("p"), _iri("o"))])
+        store = TripleStore([
+            Triple(_iri("s"), _iri("p"), _iri("o")),
+            Triple(_iri("t"), _iri("p"), _iri("nope")),
+        ])
         pattern = TriplePattern(Variable("a"), _iri("p"), Variable("b"))
         hit = {Variable("a"): _iri("s"), Variable("b"): _iri("o")}
         miss = {Variable("a"): _iri("s"), Variable("b"): _iri("nope")}
-        assert list(store.match_bindings(pattern, [hit, miss])) == [hit]
+        assert self._extend(store, pattern, [hit, miss]) == [hit]
+
+    def test_unknown_constant_compiles_to_an_empty_plan(self):
+        store = TripleStore([Triple(_iri("s"), _iri("p"), _iri("o"))])
+        pattern = TriplePattern(Variable("s"), _iri("never-seen"), Variable("o"))
+        plan = build_plan(store, [pattern])
+        assert plan.stages is None
+        assert list(plan.execute_ids(store, [[None, None]])) == []
+        assert _iri("never-seen") not in store.dictionary
 
 
 class TestHashMinus:

@@ -1,8 +1,10 @@
 """Unit tests for result-level join operators."""
 
+import random
+
 import pytest
 
-from repro.core import hash_join, left_outer_join, plan_join_order, union_all
+from repro.core import hash_join, joins, left_outer_join, plan_join_order, union_all
 from repro.core.optimizer import Relation, refine_with_bindings
 from repro.endpoint import ExecutionContext, LOCAL_CLUSTER, MemoryLimitError, Region
 from repro.rdf import IRI, Variable
@@ -74,6 +76,70 @@ class TestHashJoin:
         right = rs([Z], [(iri("z"),)])
         with pytest.raises(MemoryLimitError):
             hash_join(left, right, ctx)
+
+
+class TestVectorizedJoins:
+    """With numpy importable, joins of >= 32 rows whose (<= 2) key
+    columns are fully bound run as one batch; the result is bit-identical
+    (rows *and* order) to the per-row kernel a numpy-free interpreter
+    runs, and wildcard keys fall back to it."""
+
+    pytestmark = pytest.mark.skipif(
+        joins._np is None, reason="numpy not installed: only the per-row kernel exists"
+    )
+
+    def _result_sets(self, seed, n_left, n_right, domain, none_prob=0.0):
+        rng = random.Random(seed)
+
+        def rows(n):
+            return [
+                tuple(
+                    None
+                    if none_prob and rng.random() < none_prob
+                    else IRI(f"http://x/{rng.randrange(domain)}")
+                    for _ in range(2)
+                )
+                for _ in range(n)
+            ]
+
+        return rs((X, Y), rows(n_left)), rs((Y, Z), rows(n_right))
+
+    @staticmethod
+    def _context():
+        return ExecutionContext(LOCAL_CLUSTER, Region("local"))
+
+    def _per_row(self, op, left, right, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(joins, "_np", None)
+            context = self._context()
+            result = op(left, right, context=context)
+        assert context.metrics.join_vectorized_batches == 0
+        return result
+
+    @pytest.mark.parametrize("op", [hash_join, left_outer_join])
+    @pytest.mark.parametrize("seed,n_left,n_right,domain", [
+        (1, 200, 300, 40),
+        (2, 500, 100, 8),    # heavy fan-out, build side = right
+        (3, 40, 700, 25),    # build side = left
+    ])
+    def test_vectorized_matches_per_row(
+        self, op, seed, n_left, n_right, domain, monkeypatch
+    ):
+        left, right = self._result_sets(seed, n_left, n_right, domain)
+        context = self._context()
+        vectorized = op(left, right, context=context)
+        per_row = self._per_row(op, left, right, monkeypatch)
+        assert vectorized.variables == per_row.variables
+        assert vectorized.rows == per_row.rows
+        assert context.metrics.join_vectorized_batches == 1
+
+    @pytest.mark.parametrize("op", [hash_join, left_outer_join])
+    def test_wildcard_keys_fall_back(self, op, monkeypatch):
+        left, right = self._result_sets(5, 120, 120, 20, none_prob=0.15)
+        context = self._context()
+        result = op(left, right, context=context)
+        assert result.rows == self._per_row(op, left, right, monkeypatch).rows
+        assert context.metrics.join_vectorized_batches == 0
 
 
 class TestLeftOuterJoin:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.sape import SubqueryEvaluator
+from repro.core.sape import BindingTracker, SubqueryEvaluator
 from repro.core.subquery import Subquery
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import ElasticRequestHandler, Federation
-from repro.rdf import IRI, Triple, TriplePattern, Variable
+from repro.rdf import IRI, TermDictionary, Triple, TriplePattern, Variable
 from repro.sparql import ResultSet
 
 
@@ -125,18 +125,26 @@ class TestDelayedPhase:
 
 
 class TestBindingsDerivation:
+    @staticmethod
+    def _derive(relations):
+        tracker = BindingTracker(TermDictionary())
+        for relation in relations:
+            tracker.add(relation)
+        return {
+            variable: set(tracker.dictionary.decode_many(ids))
+            for variable, ids in tracker.bindings.items()
+        }
+
     def test_intersection_across_relations(self):
         x = Variable("x")
         r1 = ResultSet([x], [(iri("a"),), (iri("b"),)])
         r2 = ResultSet([x], [(iri("b"),), (iri("c"),)])
-        bindings = SubqueryEvaluator._derive_bindings([r1, r2])
-        assert bindings[x] == {iri("b")}
+        assert self._derive([r1, r2])[x] == {iri("b")}
 
     def test_unbound_cells_ignored(self):
         x = Variable("x")
         r1 = ResultSet([x], [(iri("a"),), (None,)])
-        bindings = SubqueryEvaluator._derive_bindings([r1])
-        assert bindings[x] == {iri("a")}
+        assert self._derive([r1])[x] == {iri("a")}
 
 
 class TestSourceRefinement:

@@ -1,10 +1,13 @@
-"""Dictionary-encoding tests: intern-table semantics, ID-native
-execution equivalence (rows *and* order), statistics maintenance under
-interning, and the join-layer ID kernel."""
+"""Dictionary-encoding tests: intern-table semantics, the ID-keyed store
+and ID-native execution against the oracles in ``tests/reference.py``,
+statistics maintenance under interning, the join-layer ID kernel, and the
+rule that query traffic never grows an endpoint's dictionary."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import joins
 from repro.core.joins import _ID_KERNEL_MIN_ROWS, hash_join, left_outer_join
 from repro.core.sape import BindingTracker
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint, Region
@@ -14,6 +17,8 @@ from repro.sparql import Evaluator, parse_query
 from repro.sparql.ast import GroupPattern, Query
 from repro.sparql.results import ResultSet
 from repro.store import TripleStore
+
+from .reference import SeedEvaluator, reference_bgp, rows_multiset
 
 _TERMS = [IRI(f"http://x/t{i}") for i in range(5)] + [Literal("lit")]
 _VARIABLES = [Variable(name) for name in ("a", "b", "c")]
@@ -69,34 +74,48 @@ class TestTermDictionary:
         )
 
 
-class TestStoreModesEquivalent:
-    """The dictionary-keyed store is observably identical to the
-    term-keyed ablation — match streams, counts, and statistics."""
+class TestStoreAgainstBruteForce:
+    """The ID-keyed indexes answer exactly what a scan of the loaded
+    triples would — match streams, counts, and statistics."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_triples, max_size=15), _patterns)
-    def test_match_terms_identical_stream(self, triples, pattern):
-        with_dict = TripleStore(triples, use_dictionary=True)
-        without = TripleStore(triples, use_dictionary=False)
-        assert list(with_dict.match_terms(pattern)) == list(without.match_terms(pattern))
-        assert with_dict.count(pattern) == without.count(pattern)
+    def test_match_terms_is_the_matching_subset(self, triples, pattern):
+        store = TripleStore(triples)
+        expected = sorted(
+            t.as_tuple() for t in set(triples) if pattern.matches(t) is not None
+        )
+        matched = list(store.match_terms(pattern))
+        assert sorted(matched) == expected  # sorted list: no duplicates either
+        assert store.count(pattern) == len(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_triples, max_size=15))
-    def test_statistics_identical(self, triples):
-        with_dict = TripleStore(triples, use_dictionary=True)
-        without = TripleStore(triples, use_dictionary=False)
-        assert len(with_dict) == len(without)
-        assert with_dict.predicates() == without.predicates()
-        assert with_dict.subjects() == without.subjects()
-        assert with_dict.objects() == without.objects()
-        for p in without.predicates():
-            assert with_dict.predicate_count(p) == without.predicate_count(p)
-            assert with_dict.distinct_subject_count(p) == without.distinct_subject_count(p)
-            assert with_dict.distinct_object_count(p) == without.distinct_object_count(p)
-            assert with_dict.subjects(p) == without.subjects(p)
-            assert with_dict.objects(p) == without.objects(p)
-        assert set(with_dict.triples()) == set(without.triples())
+    def test_statistics_match_a_scan(self, triples):
+        store = TripleStore(triples)
+        distinct = set(triples)
+        assert len(store) == len(distinct)
+        assert set(store.triples()) == distinct
+        assert store.predicates() == {t.predicate for t in distinct}
+        assert store.subjects() == {t.subject for t in distinct}
+        assert store.objects() == {t.object for t in distinct}
+        assert store.distinct_subjects_total() == len(store.subjects())
+        assert store.distinct_objects_total() == len(store.objects())
+        assert store.distinct_predicates_total() == len(store.predicates())
+        for p in store.predicates():
+            with_p = [t for t in distinct if t.predicate == p]
+            assert store.predicate_count(p) == len(with_p)
+            assert store.subjects(p) == {t.subject for t in with_p}
+            assert store.objects(p) == {t.object for t in with_p}
+            assert store.distinct_subject_count(p) == len(store.subjects(p))
+            assert store.distinct_object_count(p) == len(store.objects(p))
+            for t in with_p:
+                assert store.subject_predicate_count(t.subject, p) == sum(
+                    1 for u in with_p if u.subject == t.subject
+                )
+                assert store.predicate_object_count(p, t.object) == sum(
+                    1 for u in with_p if u.object == t.object
+                )
 
     def test_ground_query_for_unknown_term_is_empty(self):
         store = TripleStore([Triple(_iri("s"), _iri("p"), _iri("o"))])
@@ -110,38 +129,48 @@ class TestStoreModesEquivalent:
 
 
 class TestEvaluatorDifferential:
-    """use_dictionary=True and =False produce identical ResultSets —
-    the same rows in the same deterministic order."""
+    """The planned ID pipeline returns the seed joiner's rows."""
 
     @settings(max_examples=120, deadline=None)
     @given(
         st.lists(_triples, max_size=15),
         st.lists(_patterns, min_size=1, max_size=3),
     )
-    def test_bgp_select_identical_rows_and_order(self, triples, patterns):
+    def test_bgp_select_matches_seed_joiner(self, triples, patterns):
+        store = TripleStore(triples)
         query = Query(form="SELECT", where=GroupPattern(elements=list(patterns)))
-        results = []
-        for use_dictionary in (True, False):
-            store = TripleStore(triples, use_dictionary=use_dictionary)
-            evaluator = Evaluator(store, use_dictionary=use_dictionary)
-            results.append(evaluator.select(query))
-        with_dict, without = results
-        assert with_dict.variables == without.variables
-        assert with_dict.rows == without.rows  # order included
+        planned = Evaluator(store).select(query)
+        seed = SeedEvaluator(store).select(query)
+        assert planned.variables == seed.variables
+        assert rows_multiset(planned) == rows_multiset(seed)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(_triples, max_size=15),
+        st.lists(_triples, min_size=1, max_size=15),
         st.lists(_patterns, min_size=1, max_size=2),
+        st.data(),
     )
-    def test_evaluator_knob_alone_is_equivalent(self, triples, patterns):
-        """Same dictionary-keyed store, ID executor on vs off."""
-        store = TripleStore(triples, use_dictionary=True)
+    def test_one_evaluator_across_add_remove_readd(self, triples, patterns, data):
+        """A long-lived evaluator (plan cache warm, constants compiled)
+        stays right while the store mutates under it — including a
+        constant that is unknown when first planned and added later."""
+        store = TripleStore()
+        evaluator = Evaluator(store)
         query = Query(form="SELECT", where=GroupPattern(elements=list(patterns)))
-        with_ids = Evaluator(store, use_dictionary=True).select(query)
-        term_path = Evaluator(store, use_dictionary=False).select(query)
-        assert with_ids.variables == term_path.variables
-        assert with_ids.rows == term_path.rows
+        header = query.projected_variables()
+        steps = [("add", t) for t in triples] + [
+            (op, data.draw(st.sampled_from(triples)))
+            for op in data.draw(
+                st.lists(st.sampled_from(["remove", "add"]), max_size=8)
+            )
+        ]
+        for op, triple in steps:
+            getattr(store, op)(triple)
+            expected = sorted(
+                tuple(binding.get(v) for v in header)
+                for binding in reference_bgp(store, list(patterns))
+            )
+            assert sorted(map(tuple, evaluator.select(query).rows)) == expected
 
     def test_general_path_with_filter_uses_id_bgp(self):
         triples = [
@@ -153,10 +182,9 @@ class TestEvaluatorDifferential:
             'SELECT ?s ?o WHERE { ?s <http://ex/p> ?o . FILTER(?o != "3") }'
         )
         query = parse_query(query_text)
-        with_dict = Evaluator(store, use_dictionary=True).select(query)
-        without = Evaluator(store, use_dictionary=False).select(query)
-        assert with_dict.rows == without.rows
-        assert len(with_dict.rows) == 5
+        planned = Evaluator(store).select(query)
+        assert planned.rows == SeedEvaluator(store).select(query).rows
+        assert len(planned.rows) == 5
 
 
 class TestRemoveAndInvalidation:
@@ -193,7 +221,7 @@ class TestRemoveAndInvalidation:
     def test_interning_does_not_bump_version(self):
         store = TripleStore([Triple(_iri("s"), _iri("p"), _iri("o"))])
         version = store.version
-        # queries intern their constants but must not invalidate plans
+        # reads never mutate: no version bump, so no plan invalidation
         list(store.match_terms(
             TriplePattern(Variable("s"), _iri("p"), Variable("o"))
         ))
@@ -234,15 +262,18 @@ class TestJoinKernel:
         )
         return left, right
 
-    def test_kernel_bit_identical_to_term_mode(self):
+    @pytest.mark.parametrize("op", [hash_join, left_outer_join])
+    def test_kernel_bit_identical_to_term_mode(self, op, monkeypatch):
+        """Which mode a join runs in is decided by its size alone; lift
+        the threshold out of reach to get the same join in term mode."""
         left, right = self._results(3 * _ID_KERNEL_MIN_ROWS)
-        on = ExecutionContext(LOCAL_CLUSTER, Region("local"), use_dictionary=True)
-        off = ExecutionContext(LOCAL_CLUSTER, Region("local"), use_dictionary=False)
-        for op in (hash_join, left_outer_join):
-            a = op(left, right, on)
-            b = op(left, right, off)
-            assert a.variables == b.variables
-            assert a.rows == b.rows  # order included
+        on = ExecutionContext(LOCAL_CLUSTER, Region("local"))
+        a = op(left, right, on)
+        off = ExecutionContext(LOCAL_CLUSTER, Region("local"))
+        monkeypatch.setattr(joins, "_ID_KERNEL_MIN_ROWS", 10**9)
+        b = op(left, right, off)
+        assert a.variables == b.variables
+        assert a.rows == b.rows  # order included
         assert on.metrics.join_terms_interned > 0
         assert on.metrics.join_dictionary_hits > 0
         assert off.metrics.join_terms_interned == 0
@@ -263,58 +294,88 @@ class TestJoinKernel:
 
 
 class TestBindingTracker:
-    def test_id_tracker_matches_term_tracker(self):
+    def test_tracks_id_intersections(self):
         x, y = Variable("x"), Variable("y")
         r1 = ResultSet((x, y), [(_iri(f"a{i % 4}"), _iri(f"b{i}")) for i in range(10)])
-        r2 = ResultSet((x,), [(_iri(f"a{i}"),) for i in range(3)])
-        term_tracker = BindingTracker()
-        id_tracker = BindingTracker(TermDictionary())
-        for tracker in (term_tracker, id_tracker):
-            tracker.add(r1)
-            tracker.add(r2)
-        decoded = {
-            v: {id_tracker.dictionary.decode(i) for i in ids}
-            for v, ids in id_tracker.bindings.items()
-        }
-        assert decoded == term_tracker.bindings
+        r2 = ResultSet((x,), [(_iri(f"a{i}"),) for i in range(3)] + [(None,)])
+        tracker = BindingTracker(TermDictionary())
+        tracker.add(r1)
+        tracker.add(r2)
         assert all(
-            isinstance(i, int)
-            for ids in id_tracker.bindings.values()
-            for i in ids
+            isinstance(i, int) for ids in tracker.bindings.values() for i in ids
         )
+        decoded = {
+            v: set(tracker.dictionary.decode_many(ids))
+            for v, ids in tracker.bindings.items()
+        }
+        assert decoded == {
+            x: {_iri("a0"), _iri("a1"), _iri("a2")},  # unbound cell ignored
+            y: {_iri(f"b{i}") for i in range(10)},
+        }
 
 
-class TestStatsPlumbing:
-    def test_evaluator_stats_count_dictionary_traffic(self):
-        store = TripleStore(
-            [Triple(_iri(f"s{i}"), _iri("p"), _iri(f"o{i}")) for i in range(8)]
-        )
+_GHOST = "http://elsewhere/never-loaded"
+
+#: every way a request can mention a term the endpoint does not hold:
+#: constants in each position, a VALUES block, correlated (NOT) EXISTS
+#: and OPTIONAL fed by foreign outer bindings, and a pass-through value
+_FOREIGN_TERM_QUERIES = [
+    f"ASK {{ <{_GHOST}/s> <http://ex/p> ?o }}",
+    f"ASK {{ ?s <{_GHOST}/p> ?o }}",
+    f"SELECT ?s WHERE {{ ?s <http://ex/p> <{_GHOST}/o> }}",
+    f"SELECT ?s ?o WHERE {{ ?s <http://ex/p> ?o . ?o <{_GHOST}/q> ?z }}",
+    f"SELECT ?s ?o WHERE {{ VALUES ?s {{ <{_GHOST}/a> <http://ex/s1> }} ?s <http://ex/p> ?o }}",
+    f"SELECT ?x WHERE {{ VALUES ?x {{ <{_GHOST}/a> <{_GHOST}/b> }} "
+    f"FILTER NOT EXISTS {{ ?x <http://ex/p> ?o }} }}",
+    f"SELECT ?x WHERE {{ VALUES ?x {{ <{_GHOST}/a> <http://ex/s2> }} "
+    f"FILTER EXISTS {{ ?x <http://ex/p> ?o }} }}",
+    f"SELECT ?x ?o WHERE {{ VALUES ?x {{ <{_GHOST}/a> <http://ex/s3> }} "
+    f"OPTIONAL {{ ?x <http://ex/p> ?o }} }}",
+    f"SELECT ?x ?s WHERE {{ VALUES ?x {{ <{_GHOST}/a> }} "
+    f"OPTIONAL {{ ?s <http://ex/p> <http://ex/o1> }} }}",
+    f'SELECT ?s ?tag WHERE {{ ?s <http://ex/p> ?o . BIND("{_GHOST}" AS ?tag) '
+    f"FILTER NOT EXISTS {{ ?s <{_GHOST}/q> ?tag }} }}",
+]
+
+
+class TestQueriesNeverIntern:
+    """An endpoint is *asked about* far more terms than it holds — every
+    ASK, Figure-5 check query and VALUES block of a federation names
+    other members' IRIs.  None of that may grow its dictionary."""
+
+    @pytest.fixture
+    def triples(self):
+        return [Triple(_iri(f"s{i}"), _iri("p"), _iri(f"o{i}")) for i in range(8)]
+
+    @pytest.mark.parametrize("text", _FOREIGN_TERM_QUERIES)
+    def test_dictionary_unchanged_and_answer_right(self, triples, text):
+        store = TripleStore(triples)
+        size = len(store.dictionary)
+        query = parse_query(text)
         evaluator = Evaluator(store)
-        query = parse_query("SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }")
-        evaluator.select(query)
-        assert evaluator.stats.dictionary_hits > 0
-        assert evaluator.stats.decode_seconds >= 0.0
-        # fresh query constant interned during evaluation
-        before = evaluator.stats.terms_interned
-        ghost = parse_query("SELECT ?s WHERE { ?s <http://ex/brand-new> ?o }")
-        evaluator.select(ghost)
-        assert evaluator.stats.terms_interned > before
+        for _ in range(2):  # second pass runs on the cached plans
+            answer = evaluator.evaluate(query)
+            assert len(store.dictionary) == size
+        oracle = SeedEvaluator(TripleStore(triples)).evaluate(query)
+        if query.form == "ASK":
+            assert answer == oracle
+        else:
+            assert rows_multiset(answer) == rows_multiset(oracle)
 
-    def test_endpoint_compute_includes_dictionary_counters(self):
-        endpoint = LocalEndpoint.from_triples(
-            "e0",
-            [Triple(_iri(f"s{i}"), _iri("p"), _iri(f"o{i}")) for i in range(8)],
-        )
-        response = endpoint.execute("SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }")
-        assert response.compute.get("dictionary_hits", 0) > 0
+    def test_a_thousand_foreign_subjects(self, triples):
+        endpoint = LocalEndpoint.from_triples("e0", triples)
+        size = len(endpoint.store.dictionary)
+        for i in range(1000):
+            response = endpoint.execute(
+                f"SELECT ?o WHERE {{ <{_GHOST}/{i}> <http://ex/p> ?o }}"
+            )
+            assert len(response.value) == 0
+        assert len(endpoint.store.dictionary) == size
 
-    def test_term_mode_endpoint_reports_no_dictionary_traffic(self):
-        endpoint = LocalEndpoint.from_triples(
-            "e0",
-            [Triple(_iri(f"s{i}"), _iri("p"), _iri(f"o{i}")) for i in range(8)],
-            use_dictionary=False,
-        )
-        assert endpoint.store.dictionary is None
-        response = endpoint.execute("SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }")
-        assert "dictionary_hits" not in response.compute
-        assert "terms_interned" not in response.compute
+    def test_constant_unknown_at_plan_time_is_found_once_loaded(self, triples):
+        store = TripleStore(triples)
+        evaluator = Evaluator(store)
+        query = parse_query(f"SELECT ?o WHERE {{ <{_GHOST}/s> <http://ex/p> ?o }}")
+        assert len(evaluator.select(query)) == 0
+        store.add(Triple(IRI(f"{_GHOST}/s"), _iri("p"), _iri("o0")))
+        assert evaluator.select(query).rows == [(_iri("o0"),)]

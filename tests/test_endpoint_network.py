@@ -10,7 +10,6 @@ from repro.endpoint import (
     LinkProfile,
     LocalEndpoint,
     MemoryLimitError,
-    NetworkModel,
     QueryTimeoutError,
     Region,
 )

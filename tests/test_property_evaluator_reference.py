@@ -1,12 +1,13 @@
-"""Property test: the SPARQL evaluator against a brute-force reference.
+"""Property test: the SPARQL evaluator against the oracles in
+``tests/reference.py``.
 
-The reference implementation joins triple patterns by exhaustive
-enumeration — no indexes, no join ordering, no shortcuts.  Hypothesis
-generates small random stores and random BGPs (with repeated variables
-and constants) and both implementations must agree exactly.
+The brute-force reference joins triple patterns by exhaustive
+enumeration — no indexes, no join ordering, no shortcuts; the seed
+joiner is the recursive per-binding evaluator the planned pipeline
+replaced.  Hypothesis generates small random stores and random BGPs
+(with repeated variables and constants) and the implementations must
+agree exactly.
 """
-
-from typing import Dict, List, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from repro.sparql import Evaluator
 from repro.sparql.ast import GroupPattern, MinusPattern, OptionalPattern, Query
 from repro.sparql.expressions import ExistsExpr
 from repro.store import TripleStore
+
+from .reference import SeedEvaluator, reference_bgp, rows_multiset
 
 _TERMS = [IRI(f"http://x/t{i}") for i in range(4)]
 _VARIABLES = [Variable(name) for name in ("a", "b", "c")]
@@ -28,24 +31,6 @@ _triples = st.builds(
 )
 _pattern_terms = st.one_of(st.sampled_from(_TERMS), st.sampled_from(_VARIABLES))
 _patterns = st.builds(TriplePattern, _pattern_terms, _pattern_terms, _pattern_terms)
-
-
-def _reference_bgp(
-    store: TripleStore, patterns: List[TriplePattern]
-) -> List[Dict[Variable, object]]:
-    """Exhaustive nested-loop join, in syntactic pattern order."""
-    solutions: List[Dict[Variable, object]] = [{}]
-    for pattern in patterns:
-        next_solutions = []
-        for binding in solutions:
-            for triple in store.triples():
-                match = pattern.substitute(binding).matches(triple)
-                if match is not None:
-                    merged = dict(binding)
-                    merged.update(match)
-                    next_solutions.append(merged)
-        solutions = next_solutions
-    return solutions
 
 
 @settings(max_examples=120, deadline=None)
@@ -66,21 +51,9 @@ def test_evaluator_matches_reference(triples, patterns):
 
     reference = sorted(
         tuple(binding.get(variable) for variable in header)
-        for binding in _reference_bgp(store, list(patterns))
+        for binding in reference_bgp(store, list(patterns))
     )
     assert actual == reference
-
-
-def _rows_multiset(result):
-    """A SELECT result as a sorted multiset of row tuples.
-
-    OPTIONAL can leave cells unbound (``None``), and ``None`` does not
-    order against terms — sort by repr so mixed rows stay sortable.
-    """
-    return sorted(
-        (tuple(row) for row in result.rows),
-        key=lambda row: tuple("" if cell is None else repr(cell) for cell in row),
-    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -94,10 +67,10 @@ def test_planned_executor_matches_seed_executor(triples, patterns):
     constants included)."""
     store = TripleStore(triples)
     query = Query(form="SELECT", where=GroupPattern(elements=list(patterns)))
-    planned = Evaluator(store, use_planner=True)
-    seed = Evaluator(store, use_planner=False)
-    assert _rows_multiset(planned.select(query)) == _rows_multiset(seed.select(query))
-    assert planned.stats.count_probes == 0
+    planned = Evaluator(store)
+    seed = SeedEvaluator(store)
+    assert rows_multiset(planned.select(query)) == rows_multiset(seed.select(query))
+    assert seed.stats.plans_built == 0
 
 
 @st.composite
@@ -129,10 +102,9 @@ def test_planned_executor_matches_seed_on_composite_groups(triples, group):
     reached (top level, OPTIONAL bodies, EXISTS subgroups)."""
     store = TripleStore(triples)
     query = Query(form="SELECT", where=group)
-    planned = Evaluator(store, use_planner=True)
-    seed = Evaluator(store, use_planner=False)
-    assert _rows_multiset(planned.select(query)) == _rows_multiset(seed.select(query))
-    assert planned.stats.count_probes == 0
+    planned = Evaluator(store)
+    seed = SeedEvaluator(store)
+    assert rows_multiset(planned.select(query)) == rows_multiset(seed.select(query))
     assert seed.stats.plans_built == 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf import IRI, Literal, Triple, parse as nt_parse
+from repro.rdf import Literal, parse as nt_parse
 from repro.sparql import Evaluator, parse_query
 from repro.store import TripleStore
 
