@@ -31,7 +31,7 @@ def analyze(federation, name: str, query_text: str) -> None:
         print(f"  {pattern.n3():70s} -> {list(sources)}")
 
     detector = GJVDetector(handler, selection)
-    report = detector.detect(patterns)
+    report = detector.collect(detector.begin(patterns))
     print(f"check queries sent: {report.check_queries_sent}")
     if report.global_variables:
         print("global join variables:")

@@ -55,6 +55,7 @@ from .decomposer import Decomposer, compute_projections
 from .gjv import GJVDetector, GJVReport
 from .joins import hash_join, left_outer_join, union_all
 from .optimizer import Relation, plan_join_order
+from .sape import SubqueryEvaluator
 from .subquery import Subquery, assign_filters
 from .trace import QueryTrace
 
@@ -110,23 +111,17 @@ class LusailEngine:
         join_threads: int = 4,
         use_threads: bool = False,
         max_retries: int = 2,
-        pipeline: bool = True,
         partial_results: bool = False,
         breaker: bool = True,
         breaker_threshold: int = 3,
         breaker_cooldown_seconds: float = 1.0,
         request_timeout_seconds: Optional[float] = None,
-        adaptive_timeouts: bool = True,
-        timeout_multiplier: float = 4.0,
         hedge_requests: bool = False,
         hedge_threshold_seconds: Optional[float] = None,
         max_inflight: Optional[int] = None,
         admission: Optional[AdmissionController] = None,
         result_cache: bool = True,
-        result_cache_bytes: int = 64 * 1024 * 1024,
         reset_request_windows: bool = True,
-        streaming: bool = True,
-        stream_batch_rows: int = 256,
     ):
         self.federation = federation
         self.pool_size = pool_size
@@ -136,9 +131,6 @@ class LusailEngine:
         self.strict_checks = strict_checks
         self.values_block_size = values_block_size
         self.join_threads = join_threads
-        #: futures-based scheduling across the analysis and SAPE phases;
-        #: False restores the seed's per-batch barriers (ablation knob)
-        self.pipeline = pipeline
         #: run request batches on a real thread pool (the paper's ERH);
         #: virtual-time accounting is identical either way
         self.use_threads = use_threads
@@ -155,12 +147,10 @@ class LusailEngine:
         self.breaker_cooldown_seconds = breaker_cooldown_seconds
         #: static per-request timeout; with a deadline but no explicit
         #: value, one request may spend at most a fixed fraction of the
-        #: query budget (DEFAULT_REQUEST_TIMEOUT_FRACTION)
+        #: query budget (DEFAULT_REQUEST_TIMEOUT_FRACTION).  The handler
+        #: adapts it per endpoint once that endpoint's latency history
+        #: warms up.
         self.request_timeout_seconds = request_timeout_seconds
-        #: derive per-request timeouts from each endpoint's tracked
-        #: p95 × ``timeout_multiplier`` once its latency history warms up
-        self.adaptive_timeouts = adaptive_timeouts
-        self.timeout_multiplier = timeout_multiplier
         #: race slow requests against registered replicas (tail-at-scale
         #: hedging); ``hedge_threshold_seconds`` is the static trigger
         self.hedge_requests = hedge_requests
@@ -189,9 +179,7 @@ class LusailEngine:
         #: ``result_cache=False`` is the ablation knob; ``use_cache=False``
         #: (the paper's Fig. 12 cache knob) disables it with the rest
         self.result_cache: Optional[ResultCache] = (
-            ResultCache(max_bytes=result_cache_bytes)
-            if use_cache and result_cache
-            else None
+            ResultCache() if use_cache and result_cache else None
         )
         #: routes declared replicated fragments to their least-loaded
         #: copy; engine-lifetime so round-robin rotation and latency
@@ -202,17 +190,6 @@ class LusailEngine:
         #: off: with many queries in flight, one query's setup must not
         #: clear the windows the others are being measured against.
         self.reset_request_windows = reset_request_windows
-        #: pipelined execution for :meth:`execute_streaming` — symmetric
-        #: hash joins fed by partial result batches, incremental VALUES
-        #: dispatch, mid-flight replanning.  ``streaming=False`` is the
-        #: ablation knob: execute_streaming then runs today's
-        #: materialized path and emits one batch at the end, bit-identical
-        #: to :meth:`execute`.  ``execute`` itself never streams.
-        self.streaming = streaming
-        #: target rows per streamed binding batch (both the granularity
-        #: at which endpoint responses are sliced onto the virtual
-        #: timeline and the granularity of emitted result batches)
-        self.stream_batch_rows = stream_batch_rows
 
     # ------------------------------------------------------------------
     # Public API
@@ -240,31 +217,13 @@ class LusailEngine:
         partial-results semantics (a budget that aborted instead of
         degrading would be pointless).
         """
-        if self.admission is not None and not self.admission.try_admit():
-            metrics = Metrics()
-            metrics.sheds += 1
-            return QueryResult(
-                status="RE",
-                result=None,
-                metrics=metrics,
-                error=(
-                    "query rejected: admission controller at capacity "
-                    f"({self.admission.max_concurrent} queries in flight)"
-                ),
-                completeness=CompletenessReport(),
-            )
-        try:
-            return self._execute_admitted(
-                query_text,
-                timeout_seconds=timeout_seconds,
-                max_intermediate_rows=max_intermediate_rows,
-                real_time_limit=real_time_limit,
-                trace=trace,
-                deadline_seconds=deadline_seconds,
-            )
-        finally:
-            if self.admission is not None:
-                self.admission.release()
+        context, query = self._prologue(
+            query_text, timeout_seconds, max_intermediate_rows,
+            real_time_limit, trace, deadline_seconds,
+        )
+        if context is None:
+            return query
+        return self._materialize(query, context)
 
     def execute_streaming(
         self,
@@ -283,76 +242,40 @@ class LusailEngine:
         (status, metrics, completeness) becomes available once the
         stream is exhausted — completeness is only known at end of
         stream.  Queries outside the streamable subset (aggregates,
-        ORDER BY, LIMIT/OFFSET, OPTIONAL/UNION/...) and engines built
-        with ``streaming=False`` fall back to the materialized
-        :meth:`execute` path and emit its result as a single batch, so
+        ORDER BY, LIMIT/OFFSET, OPTIONAL/UNION/...) run on the
+        materialized executor and emit its result as a single batch, so
         callers never need two code paths.
 
-        The consumer must drain or ``close()`` the stream: admission
-        slots and metrics finalization are released from the stream's
-        own ``finally``.
+        The consumer must drain or ``close()`` the stream: the admission
+        slot and the run epilogue are released from the stream's own
+        ``finally``.
         """
         from .streaming import StreamingResult, is_streamable, start_stream
 
-        query: Optional[Query] = None
-        if self.streaming:
-            try:
-                query = parse_query(query_text)
-            except Exception:
-                query = None  # let execute() produce the parse error
-        if query is None or not is_streamable(query):
-            result = self.execute(
-                query_text,
-                timeout_seconds=timeout_seconds,
-                max_intermediate_rows=max_intermediate_rows,
-                real_time_limit=real_time_limit,
-                trace=trace,
-                deadline_seconds=deadline_seconds,
-            )
-            return StreamingResult.from_materialized(result)
-        if self.admission is not None and not self.admission.try_admit():
-            metrics = Metrics()
-            metrics.sheds += 1
-            return StreamingResult.from_materialized(
-                QueryResult(
-                    status="RE",
-                    result=None,
-                    metrics=metrics,
-                    error=(
-                        "query rejected: admission controller at capacity "
-                        f"({self.admission.max_concurrent} queries in flight)"
-                    ),
-                    completeness=CompletenessReport(),
-                )
-            )
-        deadline = None
-        partial_results = self.partial_results
-        if deadline_seconds is not None:
-            deadline = Deadline(deadline_seconds)
-            partial_results = True
-        context = self.federation.make_context(
-            timeout_seconds=timeout_seconds,
-            max_intermediate_rows=max_intermediate_rows,
-            join_threads=self.join_threads,
-            real_time_limit=real_time_limit,
-            partial_results=partial_results,
-            deadline=deadline,
-            reset_windows=self.reset_request_windows,
+        context, query = self._prologue(
+            query_text, timeout_seconds, max_intermediate_rows,
+            real_time_limit, trace, deadline_seconds,
         )
-        if trace:
-            context.trace = QueryTrace()
-        release = self.admission.release if self.admission is not None else None
-        return start_stream(self, query, context, release)
+        if context is None:
+            return StreamingResult.from_materialized(query)
+        if is_streamable(query):
+            return start_stream(self, query, context)
+        return StreamingResult.from_materialized(
+            self._materialize(query, context)
+        )
 
-    def _execute_admitted(
+    # ------------------------------------------------------------------
+    # The run prologue and epilogue, shared by both executors
+    # ------------------------------------------------------------------
+
+    def _new_context(
         self,
-        query_text: str,
-        timeout_seconds: float,
-        max_intermediate_rows: int,
-        real_time_limit: Optional[float],
-        trace: bool,
-        deadline_seconds: Optional[float],
-    ) -> QueryResult:
+        timeout_seconds: float = 3600.0,
+        max_intermediate_rows: int = 5_000_000,
+        real_time_limit: Optional[float] = None,
+        trace: bool = False,
+        deadline_seconds: Optional[float] = None,
+    ) -> ExecutionContext:
         deadline = None
         partial_results = self.partial_results
         if deadline_seconds is not None:
@@ -369,10 +292,68 @@ class LusailEngine:
         )
         if trace:
             context.trace = QueryTrace()
+        return context
+
+    def _prologue(self, query_text: str, *limits):
+        """Admission, context construction, parse — in that order.
+
+        Returns ``(context, query)`` for a query ready to run, or
+        ``(None, result)`` for one that already ended here: shed by
+        admission (before any context exists), or unparseable (reported
+        through the epilogue like any other failure).
+        """
+        if self.admission is not None and not self.admission.try_admit():
+            return None, QueryResult(
+                status="RE",
+                result=None,
+                metrics=Metrics(sheds=1),
+                error=(
+                    "query rejected: admission controller at capacity "
+                    f"({self.admission.max_concurrent} queries in flight)"
+                ),
+                completeness=CompletenessReport(),
+            )
+        context = self._new_context(*limits)
+        try:
+            return context, parse_query(query_text)
+        except Exception as error:
+            try:
+                return None, self._assemble(context, [], error=error)
+            finally:
+                self._epilogue(context)
+
+    def _materialize(self, query: Query, context: ExecutionContext) -> QueryResult:
+        """Run an admitted query to completion on the materialized
+        executor."""
         decomposition: List[Subquery] = []
         try:
-            query = parse_query(query_text)
             result, boolean, decomposition = self._run(query, context)
+            return self._assemble(context, decomposition, result, boolean)
+        except Exception as error:
+            return self._assemble(context, decomposition, error=error)
+        finally:
+            self._epilogue(context)
+
+    def _assemble(
+        self,
+        context: ExecutionContext,
+        decomposition: List[Subquery],
+        result: Optional[ResultSet] = None,
+        boolean: Optional[bool] = None,
+        error=None,
+        status: Optional[str] = None,
+    ) -> QueryResult:
+        """The one place a run becomes a :class:`QueryResult`.
+
+        ``error`` is the exception that ended the run (its status and
+        message are reported) or, with an explicit ``status``, a plain
+        message; without either the run succeeded and closes its trace.
+        """
+        if isinstance(error, FederationError):
+            status, error = error.status, str(error)
+        elif isinstance(error, Exception):  # runtime exception -> "RE"
+            status, error = "RE", f"{type(error).__name__}: {error}"
+        elif status is None:
             status = "OK"
             if not context.completeness.complete:
                 # The answer is real but degraded: some endpoint's
@@ -394,40 +375,26 @@ class LusailEngine:
                 rows=0 if result is None else len(result),
                 requests=context.metrics.requests,
             )
-            return QueryResult(
-                status=status,
-                result=result,
-                boolean=boolean,
-                metrics=context.metrics,
-                decomposition=decomposition,
-                trace=context.trace,
-                completeness=context.completeness,
-            )
-        except FederationError as error:
-            return QueryResult(
-                status=error.status,
-                result=None,
-                metrics=context.metrics,
-                error=str(error),
-                decomposition=decomposition,
-                trace=context.trace,
-                completeness=context.completeness,
-            )
-        except Exception as error:  # runtime exception -> "RE"
-            return QueryResult(
-                status="RE",
-                result=None,
-                metrics=context.metrics,
-                error=f"{type(error).__name__}: {error}",
-                decomposition=decomposition,
-                trace=context.trace,
-                completeness=context.completeness,
-            )
-        finally:
-            # The returned QueryResult holds this same Metrics object,
-            # so the per-endpoint latency view lands on every path.
-            context.metrics.endpoint_latency = self.latency_tracker.snapshot()
-            self._fold_endpoint_health(context.metrics.endpoint_health)
+        return QueryResult(
+            status=status,
+            result=result,
+            boolean=boolean,
+            metrics=context.metrics,
+            error=error,
+            decomposition=decomposition,
+            trace=context.trace,
+            completeness=context.completeness,
+        )
+
+    def _epilogue(self, context: ExecutionContext) -> None:
+        """What every admitted run owes the engine on the way out,
+        however it ended.  The assembled QueryResult holds this same
+        Metrics object, so the per-endpoint latency view lands on every
+        path."""
+        context.metrics.endpoint_latency = self.latency_tracker.snapshot()
+        self._fold_endpoint_health(context.metrics.endpoint_health)
+        if self.admission is not None:
+            self.admission.release()
 
     def _fold_endpoint_health(
         self, health: Dict[str, Dict[str, object]]
@@ -486,19 +453,21 @@ class LusailEngine:
             breaker_cooldown_seconds=self.breaker_cooldown_seconds,
             latency_tracker=self.latency_tracker,
             request_timeout_seconds=request_timeout,
-            adaptive_timeout_multiplier=(
-                self.timeout_multiplier if self.adaptive_timeouts else None
-            ),
             hedge=self.hedge_requests,
             hedge_threshold_seconds=self.hedge_threshold_seconds,
             max_inflight=self.max_inflight,
         )
 
+    def _make_evaluator(
+        self, handler: ElasticRequestHandler, context: ExecutionContext
+    ) -> SubqueryEvaluator:
+        return SubqueryEvaluator(
+            handler, context, self.values_block_size, self.result_cache
+        )
+
     def explain(self, query_text: str) -> List[Subquery]:
         """Decompose without executing; returns the subqueries."""
-        context = self.federation.make_context(
-            partial_results=self.partial_results
-        )
+        context = self._new_context()
         query = parse_query(query_text)
         with self._make_handler(context) as handler:
             subqueries, _report = self._analyze(query.where, handler, context)
@@ -592,19 +561,16 @@ class LusailEngine:
                 handler,
                 self.count_cache if self.count_cache is not None else {},
             )
-            if self.pipeline:
-                # Overlap the GJV check queries with the cost model's
-                # COUNT probes in one scheduler window (Figure 3's ERH
-                # never runs analysis as two back-to-back barriers).
-                # Prefetch only when the request-free rules already
-                # produced a global variable: then the decomposer is
-                # guaranteed to need estimates, so no probe is wasted.
-                wave = detector.begin(patterns)
-                if len(patterns) > 1 and wave.report.global_variables:
-                    estimator.prefetch(patterns, selection)
-                report = detector.collect(wave)
-            else:
-                report = detector.detect(patterns)
+            # Overlap the GJV check queries with the cost model's COUNT
+            # probes in one scheduler window (Figure 3's ERH never runs
+            # analysis as two back-to-back barriers).  Prefetch only
+            # when the request-free rules already produced a global
+            # variable: then the decomposer is guaranteed to need
+            # estimates, so no probe is wasted.
+            wave = detector.begin(patterns)
+            if len(patterns) > 1 and wave.report.global_variables:
+                estimator.prefetch(patterns, selection)
+            report = detector.collect(wave)
             needs_estimates = bool(report.global_variables)
 
             def cost_of(subqueries: List[Subquery]) -> float:
@@ -628,34 +594,25 @@ class LusailEngine:
         )
         return subqueries, report
 
-    def _evaluate_group(
+    def _prepare_group(
         self,
         group: GroupPattern,
         handler: ElasticRequestHandler,
         context: ExecutionContext,
-        hint_values: Optional[ValuesBlock] = None,
-        required: frozenset = frozenset(),
-    ) -> Tuple[ResultSet, List[Subquery]]:
-        """Evaluate one group pattern; returns (result, decomposition).
-
-        ``required`` are the variables the caller needs in the output
-        (the query's projection, or the enclosing group's join needs);
-        subquery projections never drop them."""
-        from .sape import SubqueryEvaluator
-
-        elements = list(group.elements)
-        if hint_values is not None:
-            elements = [hint_values] + elements
-
-        values_blocks = [e for e in elements if isinstance(e, ValuesBlock)]
-        optionals = [e for e in elements if isinstance(e, OptionalPattern)]
-        unions = [e for e in elements if isinstance(e, UnionPattern)]
-        subselects = [e for e in elements if isinstance(e, SubSelect)]
-        binds = [e for e in elements if isinstance(e, BindElement)]
-        minuses = [e for e in elements if isinstance(e, MinusPattern)]
-
+        required: frozenset,
+        values_blocks: Sequence[ValuesBlock] = (),
+        optionals: Sequence[OptionalPattern] = (),
+        unions: Sequence[UnionPattern] = (),
+        subselects: Sequence[SubSelect] = (),
+        binds: Sequence[BindElement] = (),
+        minuses: Sequence[MinusPattern] = (),
+    ) -> Tuple[List[Subquery], list, frozenset]:
+        """Analysis through delay classification for one group, shared by
+        both executors; returns (subqueries, global filters, needed
+        variables).  ``required`` are the variables the caller needs in
+        the output — subquery projections never drop them, nor anything
+        a filter or one of the group's other elements mentions."""
         subqueries, _report = self._analyze(group, handler, context)
-
         # Filter placement (paper: decided during decomposition).
         with context.phase("analysis"):
             global_filters = assign_filters(subqueries, group.filters)
@@ -665,7 +622,7 @@ class LusailEngine:
             needed = set(required)
             for f in group.filters:
                 needed |= f.variables()
-            for element in optionals:
+            for element in (*optionals, *minuses):
                 needed |= element.group.all_variables()
             for element in unions:
                 for branch in element.branches:
@@ -676,8 +633,6 @@ class LusailEngine:
                 needed |= set(element.query.projected_variables())
             for element in binds:
                 needed |= element.expression.variables()
-            for element in minuses:
-                needed |= element.group.all_variables()
             compute_projections(subqueries, frozenset(needed))
             self._classify_subqueries(
                 subqueries,
@@ -685,18 +640,6 @@ class LusailEngine:
                 len(unions) + len(subselects),
                 handler,
             )
-
-        # Initial relations: VALUES blocks and sub-SELECTs.
-        initial: Dict[str, ResultSet] = {}
-        for index, block in enumerate(values_blocks):
-            initial[f"values{index}"] = ResultSet(block.variables, block.rows)
-        for index, subselect in enumerate(subselects):
-            inner, _ = self._evaluate_group(
-                subselect.query.where, handler, context
-            )
-            inner = self._apply_modifiers(subselect.query, inner)
-            initial[f"subselect{index}"] = inner
-
         context.trace_event(
             "decomposition",
             subqueries=[
@@ -711,21 +654,55 @@ class LusailEngine:
                 for sq in subqueries
             ],
         )
-        evaluator = SubqueryEvaluator(
-            handler,
-            context,
-            values_block_size=self.values_block_size,
-            pipeline=self.pipeline,
-            result_cache=self.result_cache,
+        return subqueries, global_filters, frozenset(needed)
+
+    def _evaluate_group(
+        self,
+        group: GroupPattern,
+        handler: ElasticRequestHandler,
+        context: ExecutionContext,
+        hint_values: Optional[ValuesBlock] = None,
+        required: frozenset = frozenset(),
+    ) -> Tuple[ResultSet, List[Subquery]]:
+        """Evaluate one group pattern; returns (result, decomposition).
+
+        ``required`` are the variables the caller needs in the output
+        (the query's projection, or the enclosing group's join needs)."""
+        elements = list(group.elements)
+        if hint_values is not None:
+            elements = [hint_values] + elements
+        values_blocks = [e for e in elements if isinstance(e, ValuesBlock)]
+        optionals = [e for e in elements if isinstance(e, OptionalPattern)]
+        unions = [e for e in elements if isinstance(e, UnionPattern)]
+        subselects = [e for e in elements if isinstance(e, SubSelect)]
+        binds = [e for e in elements if isinstance(e, BindElement)]
+        minuses = [e for e in elements if isinstance(e, MinusPattern)]
+        subqueries, global_filters, needed = self._prepare_group(
+            group, handler, context, required,
+            values_blocks, optionals, unions, subselects, binds, minuses,
         )
-        relations = evaluator.evaluate(subqueries, initial_relations=initial)
+
+        # Initial relations: VALUES blocks and sub-SELECTs.
+        initial: Dict[str, ResultSet] = {}
+        for index, block in enumerate(values_blocks):
+            initial[f"values{index}"] = ResultSet(block.variables, block.rows)
+        for index, subselect in enumerate(subselects):
+            inner, _ = self._evaluate_group(
+                subselect.query.where, handler, context
+            )
+            inner = self._apply_modifiers(subselect.query, inner)
+            initial[f"subselect{index}"] = inner
+
+        relations = self._make_evaluator(handler, context).evaluate(
+            subqueries, initial_relations=initial
+        )
 
         # UNION blocks: evaluate each branch recursively, union them.
         for index, union in enumerate(unions):
             branch_results = []
             for branch in union.branches:
                 branch_result, _ = self._evaluate_group(
-                    branch, handler, context, required=frozenset(needed)
+                    branch, handler, context, required=needed
                 )
                 branch_results.append(branch_result)
             relations[f"union{index}"] = union_all(branch_results, context)
@@ -740,14 +717,14 @@ class LusailEngine:
         # MINUS: evaluate the right side as its own subplan, anti-join.
         for minus in minuses:
             minus_result, _ = self._evaluate_group(
-                minus.group, handler, context, required=frozenset(needed)
+                minus.group, handler, context, required=needed
             )
             result = self._apply_minus(result, minus_result, context)
 
         # OPTIONAL groups: evaluated with found bindings, then left-joined.
         for optional in optionals:
             optional_result = self._evaluate_optional(
-                optional.group, result, handler, context, frozenset(needed)
+                optional.group, result, handler, context, needed
             )
             result = left_outer_join(result, optional_result, context)
 

@@ -138,10 +138,6 @@ class GJVDetector:
 
     # ------------------------------------------------------------------
 
-    def detect(self, patterns: Sequence[TriplePattern]) -> GJVReport:
-        """Run Algorithm 1 as one begin/collect round trip."""
-        return self.collect(self.begin(patterns))
-
     def begin(self, patterns: Sequence[TriplePattern]) -> "CheckWave":
         """Apply the request-free rules and dispatch the check queries.
 

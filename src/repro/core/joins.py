@@ -474,6 +474,12 @@ class SymmetricHashJoin:
     def right_count(self) -> int:
         return len(self._right.rows)
 
+    @property
+    def left_rows(self) -> Sequence[Row]:
+        """The accumulated left input (what :meth:`preload_left` carries
+        into a rebuilt stage)."""
+        return self._left.rows
+
     def push_left(self, rows: Sequence[Row]) -> List[Row]:
         """Insert a left-input batch; returns the newly joined rows."""
         return self._push(self._left, self._right, rows, batch_is_left=True)

@@ -9,19 +9,21 @@ results of one subquery gathered from different endpoints are merged
 with the §3.3 Case-2 cross-endpoint re-join when binding values overlap
 across endpoints.
 
-With ``pipeline=True`` (the default) phase two is futures-based, the way
-the paper's ERH keeps its thread pool saturated (Figure 3): every VALUES
-block of every endpoint of a delayed subquery enters one submission
-wave instead of a barrier per block, and delayed subqueries that share
-no variable — so neither can tighten the other's bindings — are
-dispatched concurrently in the same wave.  ``pipeline=False`` preserves
-the strictly sequential barrier execution for ablation and benchmarking;
-both modes return identical results (see tests/test_pipeline_equivalence).
+Phase two is futures-based, the way the paper's ERH keeps its thread
+pool saturated (Figure 3): every VALUES block of every endpoint of a
+delayed subquery enters one submission wave, and delayed subqueries that
+share no variable — so neither can tighten the other's bindings — are
+dispatched concurrently in the same wave.
+
+Turning a subquery into requests is :class:`SubqueryDispatcher`'s job,
+shared with the streaming executor; :class:`SubqueryEvaluator` is the
+materialized scheduler on top of it (submit a wave, then settle it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..endpoint.metrics import ExecutionContext
 from ..rdf.dictionary import TermDictionary
@@ -78,60 +80,244 @@ class BindingTracker:
                 self.bindings[variable] = values
 
 
-class _DelayedPlan:
-    """One delayed subquery's in-flight requests within a wave."""
+@dataclass(slots=True)
+class Contribution:
+    """One endpoint's answer to one subquery request.
 
-    __slots__ = ("subquery", "variable", "blocks", "sources",
-                 "ask_futures", "select_futures", "cached")
+    Requested by :meth:`SubqueryDispatcher.request`: a result-cache hit
+    arrives with ``value`` set and no ``future``; a miss is in flight on
+    ``future`` until :meth:`SubqueryDispatcher.settle` fills ``value``
+    (repointing ``endpoint_id`` / ``future`` at the replica when a
+    reroute answered instead).
+    """
 
-    def __init__(self, subquery: Subquery, variable: Optional[Variable]):
-        self.subquery = subquery
-        self.variable = variable
-        self.blocks: List[List[GroundTerm]] = []
-        self.sources: List[str] = list(subquery.sources)
-        self.ask_futures: List[ResponseFuture] = []
-        #: (endpoint_id, values_block or None, future) in block-major order
-        self.select_futures: List[Tuple[str, object, ResponseFuture]] = []
-        #: (endpoint_id, relation) contributions the result cache served
-        #: without a request
-        self.cached: List[Tuple[str, ResultSet]] = []
+    subquery: Subquery
+    endpoint_id: str
+    values_block: Optional[ValuesBlock] = None
+    future: Optional[ResponseFuture] = None
+    value: Optional[ResultSet] = None
 
 
-class SubqueryEvaluator:
-    """Evaluates a set of LADE subqueries against the federation."""
+@dataclass(slots=True)
+class BoundPlan:
+    """How one delayed subquery is fetched: unbound (``variable`` is
+    None) or as VALUES ``blocks`` over ``variable``, from ``sources``;
+    ``asks`` are its in-flight source-refinement ASKs."""
+
+    subquery: Subquery
+    variable: Optional[Variable]
+    sources: List[str]
+    blocks: List[List[GroundTerm]] = field(default_factory=list)
+    asks: List[ResponseFuture] = field(default_factory=list)
+
+
+class SubqueryDispatcher:
+    """The one place a subquery turns into endpoint requests.
+
+    Both executors fetch every relation through this class: the
+    materialized SAPE wave (:class:`SubqueryEvaluator`) requests a whole
+    wave and then settles it, the streaming timeline
+    (:mod:`repro.core.streaming`) requests with ``at=`` backdating and
+    settles each answer as it goes.  *Request* and *settle* are separate
+    steps so each keeps its own ordering; everything between them —
+    result-cache lookup and store, the cached-unconstrained local
+    filter, VALUES-block planning, bound-ASK source refinement, replica
+    reroute, degradation marking — is written once, here.
+    """
 
     def __init__(
         self,
         handler: ElasticRequestHandler,
         context: ExecutionContext,
         values_block_size: int = 128,
-        pipeline: bool = True,
         result_cache: Optional[ResultCache] = None,
     ):
         self.handler = handler
         self.context = context
         self.values_block_size = max(1, values_block_size)
-        #: futures-based phase-2 scheduling; False = barrier per block
-        self.pipeline = pipeline
         #: engine-lifetime subquery result cache; None = always fetch
         self.result_cache = result_cache
         #: intern table the binding tracker keeps its value sets in
         #: (shared with the join kernel)
-        self._binding_dictionary = context.get_join_dictionary()
+        self.binding_dictionary = context.get_join_dictionary()
 
     # ------------------------------------------------------------------
-    # Result-cache plumbing
+    # Request
     # ------------------------------------------------------------------
 
-    def _cache_identity(self, endpoint_id: str) -> tuple:
-        """The endpoint's result-cache ``(scope, version token)``.
+    def request(
+        self,
+        subquery: Subquery,
+        sources: Sequence[str],
+        values_block: Optional[ValuesBlock] = None,
+        at: Optional[float] = None,
+    ) -> Iterator[Contribution]:
+        """One :class:`Contribution` per source, lazily, in source order.
 
-        Replicated endpoints share a fragment scope (see
-        :meth:`~repro.federation.federation.Federation.cache_identity`),
-        so a subquery answered by one replica warms the cache for every
-        copy the router might pick next time.
+        A (subquery, endpoint) pair whose relation is cached (same
+        canonical text, same store version) never reaches the handler;
+        every other pair is submitted — backdated to ``at`` when given —
+        as the generator reaches it, so a caller that drains it first
+        gets one submission wave and a caller that settles between
+        steps gets request-then-answer ordering.
         """
-        return self.handler.federation.cache_identity(endpoint_id)
+        text: Optional[str] = None
+        for endpoint_id in sources:
+            hit = self._cache_lookup(subquery, endpoint_id, values_block)
+            if hit is not None:
+                yield Contribution(subquery, endpoint_id, values_block, value=hit)
+                continue
+            if text is None:
+                text = subquery.to_sparql(values=values_block)
+            yield Contribution(
+                subquery, endpoint_id, values_block,
+                future=self.handler.submit(
+                    Request(endpoint_id, text, kind="SELECT"), at=at
+                ),
+            )
+
+    def plan(self, subquery: Subquery, bindings: Bindings) -> BoundPlan:
+        """Plan a delayed subquery against the bindings found so far.
+
+        Binds on the shared variable with the fewest surviving values,
+        cut into ``VALUES`` blocks (the decode boundary: tracked ID sets
+        become terms here, sorted by term sort key).  A subquery with a
+        ``?s ?p ?o``-style pattern is relevant everywhere, so its bound
+        re-selection ASKs (Alg. 3 line 13) go out now, sampled from the
+        first block; :meth:`refine` reads the answers.
+        """
+        candidates = [
+            (len(values), variable)
+            for variable, values in bindings.items()
+            if variable in subquery.variables() and values
+        ]
+        plan = BoundPlan(
+            subquery,
+            min(candidates)[1] if candidates else None,
+            list(subquery.sources),
+        )
+        if plan.variable is None:
+            return plan
+        values = sorted(
+            self.binding_dictionary.decode_many(bindings[plan.variable]),
+            key=lambda t: t.sort_key(),
+        )
+        plan.blocks = [
+            values[i:i + self.values_block_size]
+            for i in range(0, len(values), self.values_block_size)
+        ]
+        if plan.blocks and subquery.has_fully_unbound_pattern():
+            sample = ValuesBlock([plan.variable], [(v,) for v in plan.blocks[0]])
+            group = GroupPattern(
+                elements=[sample] + list(subquery.patterns),
+                filters=list(subquery.filters),
+            )
+            text = serialize_query(Query(form="ASK", where=group))
+            plan.asks = [
+                self.handler.submit(Request(endpoint_id, text, kind="ASK"))
+                for endpoint_id in plan.sources
+            ]
+        return plan
+
+    def refine(self, plan: BoundPlan) -> None:
+        """Settle the plan's refinement ASKs; keep the endpoints that can
+        contribute (all of them when none said yes)."""
+        refined = []
+        for ask in plan.asks:
+            response, error = self.handler.settle(ask)
+            # A failed refinement ASK excludes that endpoint — it cannot
+            # answer the dependent SELECTs either (partial mode; outside
+            # it settle re-raised).
+            if error is None and bool(response.value):
+                refined.append(ask.request.endpoint_id)
+        plan.sources = refined or plan.sources
+
+    def request_plan(
+        self, plan: BoundPlan, at: Optional[float] = None
+    ) -> Iterator[Contribution]:
+        """Every contribution a plan needs: each VALUES block × endpoint.
+
+        Cache interaction, per endpoint: when the *unconstrained*
+        relation is cached, the bound join runs as a local filter and no
+        block is sent there at all; otherwise each (block, endpoint)
+        pair is looked up under its VALUES-constrained key, so an
+        exactly repeated bound workload also short-circuits.
+        """
+        subquery, variable = plan.subquery, plan.variable
+        if variable is None:
+            # Nothing to bind against: evaluate unbound.
+            yield from self.request(subquery, plan.sources, None, at)
+            return
+        cached, live = self.split_cached(subquery, variable, plan.sources)
+        wanted = {term for block in plan.blocks for term in block}
+        for endpoint_id, relation in cached.items():
+            yield Contribution(
+                subquery, endpoint_id,
+                value=self.filter_cached(
+                    relation, variable, wanted, len(plan.blocks) - 1
+                ),
+            )
+        for block in plan.blocks:
+            values_block = ValuesBlock([variable], [(v,) for v in block])
+            yield from self.request(subquery, live, values_block, at)
+
+    # ------------------------------------------------------------------
+    # Settle
+    # ------------------------------------------------------------------
+
+    def settle(self, contribution: Contribution) -> bool:
+        """Resolve one contribution; False when partial mode dropped it.
+
+        A failed request is first rerouted to the endpoint's registered
+        standby replica (same query text); only an unrecovered failure
+        degrades the subquery.  Outside partial mode this raises exactly
+        like ``result()``.  Only full answers are cached — under the
+        answering endpoint's *cache scope*, so a future query routed to
+        the other copy of a replicated fragment still hits — and failed
+        or degraded settles never are, so degradation cannot poison the
+        cache.
+        """
+        future = contribution.future
+        if future is None:
+            return True  # served by the result cache
+        subquery, endpoint_id = contribution.subquery, contribution.endpoint_id
+        response, error = self.handler.settle(future)
+        if error is not None:
+            replica_id = self.handler.federation.replica_of(endpoint_id)
+            if replica_id is not None:
+                request = future.request
+                future = self.handler.submit(
+                    Request(replica_id, request.query_text, request.kind)
+                )
+                response, error = self.handler.settle(future)
+            if error is not None:
+                self.mark_degraded(subquery.label, endpoint_id)
+                return False
+            self.context.completeness.note_reroute(endpoint_id, replica_id)
+            contribution.endpoint_id = endpoint_id = replica_id
+            contribution.future = future
+        contribution.value = value = response.value
+        if self.result_cache is not None and isinstance(value, ResultSet):
+            scope, version = self.handler.federation.cache_identity(endpoint_id)
+            self.result_cache.put(
+                scope, version,
+                subquery_cache_key(subquery, contribution.values_block),
+                value,
+            )
+        return True
+
+    def mark_degraded(self, label: str, endpoint_id: str) -> None:
+        report = self.context.completeness
+        if label not in report.subqueries_degraded:
+            self.context.metrics.subqueries_degraded += 1
+        report.note_degraded(label)
+        self.context.trace_event(
+            "subquery_degraded", label=label, endpoint=endpoint_id
+        )
+
+    # ------------------------------------------------------------------
+    # Result cache
+    # ------------------------------------------------------------------
 
     def _cache_lookup(
         self, subquery: Subquery, endpoint_id: str, values_block=None
@@ -140,17 +326,19 @@ class SubqueryEvaluator:
 
         Hits are returned with the caller's projection as header (keys
         are canonical, so positions correspond even across queries that
-        named their variables differently) and skip the endpoint request
-        entirely.
+        named their variables differently).  Replicated endpoints share
+        a fragment scope (see
+        :meth:`~repro.federation.federation.Federation.cache_identity`),
+        so a subquery answered by one replica warms the cache for every
+        copy the router might pick next time.
         """
         if self.result_cache is None:
             return None
-        key = subquery_cache_key(subquery, values_block)
-        scope, version = self._cache_identity(endpoint_id)
+        scope, version = self.handler.federation.cache_identity(endpoint_id)
         hit = self.result_cache.get(
             scope,
             version,
-            key,
+            subquery_cache_key(subquery, values_block),
             projection=subquery.effective_projection(),
         )
         metrics = self.context.metrics
@@ -166,116 +354,65 @@ class SubqueryEvaluator:
         )
         return hit
 
-    def _cache_store(
+    def split_cached(
+        self, subquery: Subquery, variable: Variable, sources: Sequence[str]
+    ) -> Tuple[Dict[str, ResultSet], List[str]]:
+        """Split a bound fetch's sources into those whose *unconstrained*
+        relation is cached (endpoint -> relation) and the live rest.
+
+        Serving the cached ones by local filtering is profitable
+        whenever the full relation is already in memory, and exact
+        whenever the bound variable is projected (SAPE binds on shared
+        variables, which projections always keep).
+        """
+        cached: Dict[str, ResultSet] = {}
+        if (
+            self.result_cache is None
+            or variable not in subquery.effective_projection()
+        ):
+            return cached, list(sources)
+        live: List[str] = []
+        for endpoint_id in sources:
+            hit = self._cache_lookup(subquery, endpoint_id)
+            if hit is None:
+                live.append(endpoint_id)
+            else:
+                cached[endpoint_id] = hit
+        return cached, live
+
+    def filter_cached(
         self,
-        subquery: Subquery,
-        endpoint_id: str,
-        value: ResultSet,
-        values_block=None,
-    ) -> None:
-        """Cache one successfully settled contribution.
-
-        Only full answers reach this point — failed or degraded settles
-        return None from ``_settle_contribution`` and are never cached,
-        so partial-mode degradation can never poison the cache.  The
-        entry lands under the answering endpoint's *cache scope*: its own
-        id normally, the shared fragment scope when it is a declared
-        replica — so a future query routed to the other copy still hits.
-        """
-        if self.result_cache is None or not isinstance(value, ResultSet):
-            return
-        scope, version = self._cache_identity(endpoint_id)
-        self.result_cache.put(
-            scope,
-            version,
-            subquery_cache_key(subquery, values_block),
-            value,
-        )
-
-    def _filter_cached_unconstrained(
-        self, plan: _DelayedPlan, endpoint_id: str
-    ) -> Optional[ResultSet]:
-        """Serve a VALUES-constrained subquery from the cached
-        *unconstrained* relation by filtering locally.
-
-        Profitable whenever the full relation is already in memory: the
-        bound variable is projected (SAPE binds on shared variables,
-        which projections always keep), so selecting the rows whose
-        value is in the binding set is exactly what the endpoint's
-        VALUES join would return — for the cost of one local scan
-        instead of ``len(blocks)`` round trips.
-        """
-        if self.result_cache is None or plan.variable is None or not plan.blocks:
-            return None
-        if plan.variable not in plan.subquery.effective_projection():
-            return None
-        cached = self._cache_lookup(plan.subquery, endpoint_id)
-        if cached is None:
-            return None
-        wanted = {term for block in plan.blocks for term in block}
-        index = cached.variables.index(plan.variable)
+        cached: ResultSet,
+        variable: Variable,
+        wanted: Set[GroundTerm],
+        blocks_avoided: int,
+    ) -> ResultSet:
+        """The rows of a cached unconstrained relation whose ``variable``
+        is in ``wanted`` — exactly what the endpoint's VALUES join would
+        return, for one local scan instead of a round trip per block.
+        ``blocks_avoided`` counts the requests this stands in for beyond
+        the one the cache lookup already counted."""
+        index = cached.variables.index(variable)
         rows = [row for row in cached.rows if row[index] in wanted]
         self.context.charge_join(len(cached))
-        # One avoided request was counted by the lookup; the other
-        # blocks this endpoint never saw are avoided too.
-        extra = len(plan.blocks) - 1
-        if extra > 0:
-            self.context.metrics.requests_avoided += extra
+        self.context.metrics.requests_avoided += blocks_avoided
         return ResultSet(cached.variables, rows)
 
-    # ------------------------------------------------------------------
-    # Partial-results settling
-    # ------------------------------------------------------------------
 
-    def _mark_degraded(self, label: str, endpoint_id: str) -> None:
-        report = self.context.completeness
-        if label not in report.subqueries_degraded:
-            self.context.metrics.subqueries_degraded += 1
-        report.note_degraded(label)
-        self.context.trace_event(
-            "subquery_degraded", label=label, endpoint=endpoint_id
+class SubqueryEvaluator:
+    """Evaluates a set of LADE subqueries against the federation."""
+
+    def __init__(
+        self,
+        handler: ElasticRequestHandler,
+        context: ExecutionContext,
+        values_block_size: int = 128,
+        result_cache: Optional[ResultCache] = None,
+    ):
+        self.context = context
+        self.dispatcher = SubqueryDispatcher(
+            handler, context, values_block_size, result_cache
         )
-
-    def _settle_contribution(
-        self, label: str, endpoint_id: str, future: ResponseFuture
-    ) -> Optional[Tuple[str, ResultSet]]:
-        """Resolve one endpoint's contribution to a subquery.
-
-        Returns ``(answering_endpoint_id, value)``, or None when partial
-        mode dropped the contribution.  A failed request is first
-        rerouted to the endpoint's registered standby replica (same
-        query text); only an unrecovered failure degrades the subquery.
-        Outside partial mode this raises exactly like ``result()``.
-        """
-        settled = self._settle_contribution_timed(label, endpoint_id, future)
-        if settled is None:
-            return None
-        return settled[0], settled[1]
-
-    def _settle_contribution_timed(
-        self, label: str, endpoint_id: str, future: ResponseFuture
-    ) -> Optional[Tuple[str, ResultSet, ResponseFuture]]:
-        """:meth:`_settle_contribution`, also returning the future that
-        actually answered (the original or its replica reroute) — the
-        streaming executor reads the answer's virtual finish time and
-        cost off it to place partial batches on the timeline."""
-        response, error = self.handler.settle(future)
-        if error is None:
-            return endpoint_id, response.value, future  # type: ignore[return-value]
-        replica_id = self.handler.federation.replica_of(endpoint_id)
-        if replica_id is not None:
-            request = future.request
-            retry = self.handler.submit(
-                Request(replica_id, request.query_text, request.kind)
-            )
-            response, error = self.handler.settle(retry)
-            if error is None:
-                self.context.completeness.note_reroute(
-                    endpoint_id, replica_id
-                )
-                return replica_id, response.value, retry  # type: ignore[return-value]
-        self._mark_degraded(label, endpoint_id)
-        return None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -291,61 +428,24 @@ class SubqueryEvaluator:
         ``initial_relations`` seeds the binding map (e.g. VALUES blocks in
         the original query); their values also bound delayed subqueries.
         """
+        dispatcher = self.dispatcher
         relations: Dict[str, ResultSet] = dict(initial_relations or {})
-        tracker = BindingTracker(self._binding_dictionary)
+        tracker = BindingTracker(dispatcher.binding_dictionary)
         for result in relations.values():
             tracker.add(result)
 
+        # Phase 1: one submission wave for every non-delayed subquery.
         non_delayed = [sq for sq in subqueries if not sq.delayed]
-        delayed = [sq for sq in subqueries if sq.delayed]
-
-        # Phase 1: concurrent evaluation of the non-delayed subqueries.
-        # A (subquery, endpoint) pair whose relation is cached (same
-        # canonical text, same store version) never reaches the handler.
-        if non_delayed:
-            requests: List[Tuple[Subquery, Request]] = []
-            per_subquery: Dict[str, Dict[str, ResultSet]] = {}
-            for subquery in non_delayed:
-                text: Optional[str] = None
-                for endpoint_id in subquery.sources:
-                    hit = self._cache_lookup(subquery, endpoint_id)
-                    if hit is not None:
-                        per_subquery.setdefault(
-                            subquery.label, {}
-                        )[endpoint_id] = hit
-                        continue
-                    if text is None:
-                        text = subquery.to_sparql()
-                    requests.append(
-                        (subquery, Request(endpoint_id, text, kind="SELECT"))
-                    )
-            futures = self.handler.submit_all([r for _, r in requests])
-            for (subquery, request), future in zip(requests, futures):
-                settled = self._settle_contribution(
-                    subquery.label, request.endpoint_id, future
-                )
-                if settled is None:
-                    continue
-                answered_id, value = settled
-                self._cache_store(subquery, answered_id, value)
-                per_subquery.setdefault(subquery.label, {})[answered_id] = value
-            for subquery in non_delayed:
-                merged = self.combine_endpoint_results(
-                    subquery, per_subquery.get(subquery.label, {})
-                )
-                relations[subquery.label] = merged
-                subquery.actual_cardinality = len(merged)
-                self.context.note_intermediate_rows(len(merged))
-                self.context.trace_event(
-                    "subquery_result", label=subquery.label,
-                    rows=len(merged), mode="concurrent",
-                )
-                tracker.add(merged)
+        wave = [
+            (subquery, (), list(dispatcher.request(subquery, subquery.sources)))
+            for subquery in non_delayed
+        ]
+        self._gather(wave, relations, tracker, "concurrent")
 
         # Phase 2: delayed subqueries, most selective first, bound joins.
-        # Pipelined mode additionally packs variable-disjoint subqueries
-        # into the same wave — neither can tighten the other's bindings.
-        remaining = list(delayed)
+        # Variable-disjoint subqueries share a wave — neither can tighten
+        # the other's bindings.
+        remaining = [sq for sq in subqueries if sq.delayed]
         while remaining:
             deadline = self.context.deadline
             if deadline is not None and deadline.expired(
@@ -359,7 +459,7 @@ class SubqueryEvaluator:
                     relations[subquery.label] = ResultSet(
                         tuple(subquery.effective_projection())
                     )
-                    self._mark_degraded(subquery.label, "(deadline)")
+                    dispatcher.mark_degraded(subquery.label, "(deadline)")
                 self.context.metrics.deadline_exceeded += 1
                 self.context.trace_event(
                     "deadline",
@@ -368,30 +468,66 @@ class SubqueryEvaluator:
                     expires_at=deadline.expires_at,
                 )
                 break
-            if self.pipeline:
-                wave = self._independent_wave(remaining, tracker.bindings)
-            else:
-                wave = [self._most_selective(remaining, tracker.bindings)]
+            wave = self._independent_wave(remaining, tracker.bindings)
             for subquery in wave:
                 remaining.remove(subquery)
-            for subquery, result in self._evaluate_delayed_wave(
-                wave, tracker.bindings
-            ):
-                relations[subquery.label] = result
-                subquery.actual_cardinality = len(result)
-                self.context.note_intermediate_rows(len(result))
-                self.context.trace_event(
-                    "subquery_result", label=subquery.label,
-                    rows=len(result), mode="delayed (bound)",
-                )
-                tracker.add(result)
+            self._gather(
+                self._request_delayed_wave(wave, tracker.bindings),
+                relations, tracker, "delayed (bound)",
+            )
         return relations
+
+    def _gather(
+        self,
+        wave: Sequence[Tuple[Subquery, Sequence[str], List[Contribution]]],
+        relations: Dict[str, ResultSet],
+        tracker: BindingTracker,
+        mode: str,
+    ) -> None:
+        """Settle a submitted wave of ``(subquery, endpoint order,
+        contributions)`` into one combined relation per subquery.
+
+        Cache-served pieces are collected before anything is awaited and
+        the in-flight ones settle in submission order, so the pieces of
+        one endpoint (several under VALUES blocks) and the endpoints of
+        one subquery always union in the same order.
+        """
+        gathered: List[Dict[str, List[ResultSet]]] = [
+            {endpoint_id: [] for endpoint_id in order} for _, order, _ in wave
+        ]
+        for in_flight in (False, True):
+            for (_, _, contributions), per_endpoint in zip(wave, gathered):
+                for contribution in contributions:
+                    if (
+                        (contribution.future is not None) is in_flight
+                        and self.dispatcher.settle(contribution)
+                    ):
+                        per_endpoint.setdefault(
+                            contribution.endpoint_id, []
+                        ).append(contribution.value)
+        for (subquery, _, _), per_endpoint in zip(wave, gathered):
+            result = self.combine_endpoint_results(subquery, {
+                endpoint_id: (
+                    pieces[0] if len(pieces) == 1
+                    else union_all(pieces, self.context)
+                )
+                for endpoint_id, pieces in per_endpoint.items()
+                if pieces
+            })
+            relations[subquery.label] = result
+            subquery.actual_cardinality = len(result)
+            self.context.note_intermediate_rows(len(result))
+            self.context.trace_event(
+                "subquery_result", label=subquery.label,
+                rows=len(result), mode=mode,
+            )
+            tracker.add(result)
 
     # ------------------------------------------------------------------
     # Phase-2 helpers
     # ------------------------------------------------------------------
 
-    def _refined_size(self, subquery: Subquery, bindings: Bindings) -> float:
+    def refined_size(self, subquery: Subquery, bindings: Bindings) -> float:
         if subquery.cache_warm:
             # Cache-aware cost: a warm subquery costs ~0 — it is served
             # from memory, so it always sorts to the front of the wave.
@@ -403,19 +539,13 @@ class SubqueryEvaluator:
         )
         return refine_with_bindings(relation, dict(bindings))
 
-    def _most_selective(
-        self, subqueries: List[Subquery], bindings: Bindings
-    ) -> Subquery:
-        return min(subqueries, key=lambda sq: self._refined_size(sq, bindings))
-
     def _independent_wave(
         self, subqueries: List[Subquery], bindings: Bindings
     ) -> List[Subquery]:
         """Most selective subquery plus every later one sharing no
-        variable with anything already picked (stable order, so the wave
-        leader equals the barrier mode's pick)."""
+        variable with anything already picked (stable order)."""
         ranked = sorted(
-            subqueries, key=lambda sq: self._refined_size(sq, bindings)
+            subqueries, key=lambda sq: self.refined_size(sq, bindings)
         )
         wave: List[Subquery] = []
         claimed: Set[Variable] = set()
@@ -425,265 +555,31 @@ class SubqueryEvaluator:
                 claimed |= subquery.variables()
         return wave
 
-    def _choose_bound_variable(
-        self, subquery: Subquery, bindings: Bindings
-    ) -> Optional[Variable]:
-        candidates = [
-            (len(values), variable)
-            for variable, values in bindings.items()
-            if variable in subquery.variables() and values
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[1]
-
-    def _plan_blocks(
-        self, subquery: Subquery, variable: Variable, bindings: Bindings
-    ) -> List[List[GroundTerm]]:
-        """Decode boundary: tracked ID sets become term ``VALUES`` rows
-        here, sorted by term sort key."""
-        values = sorted(
-            self._binding_dictionary.decode_many(bindings[variable]),
-            key=lambda t: t.sort_key(),
-        )
-        return [
-            values[i:i + self.values_block_size]
-            for i in range(0, len(values), self.values_block_size)
-        ]
-
-    def _evaluate_delayed_wave(
+    def _request_delayed_wave(
         self, wave: Sequence[Subquery], bindings: Bindings
-    ) -> List[Tuple[Subquery, ResultSet]]:
-        """Evaluate one wave of delayed subqueries.
+    ) -> List[Tuple[Subquery, Sequence[str], List[Contribution]]]:
+        """Put one wave of delayed subqueries in flight.
 
-        Pipelined: every subquery's every VALUES block × endpoint is
-        submitted before anything is awaited; source-refinement ASKs go
-        out in the same window and only their dependent SELECTs wait for
-        them.  Barrier mode falls back to the sequential per-block path.
+        Every subquery's every VALUES block × endpoint is submitted
+        before anything is awaited; source-refinement ASKs go out in the
+        same window and only their dependent SELECTs wait for them — the
+        rest of the wave is already in flight by then.
         """
-        if not self.pipeline:
-            return [
-                (subquery, self._evaluate_delayed(subquery, bindings))
-                for subquery in wave
-            ]
-        plans: List[_DelayedPlan] = []
-        deferred: List[_DelayedPlan] = []
+        dispatcher = self.dispatcher
+        planned: List[Tuple[BoundPlan, List[Contribution]]] = []
         for subquery in wave:
-            variable = self._choose_bound_variable(subquery, bindings)
-            plan = _DelayedPlan(subquery, variable)
-            plans.append(plan)
-            if variable is None:
-                # Nothing to bind against: evaluate unbound, concurrently.
-                text = None
-                for eid in plan.sources:
-                    hit = self._cache_lookup(subquery, eid)
-                    if hit is not None:
-                        plan.cached.append((eid, hit))
-                        continue
-                    if text is None:
-                        text = subquery.to_sparql()
-                    plan.select_futures.append(
-                        (eid, None,
-                         self.handler.submit(Request(eid, text, "SELECT")))
-                    )
-                continue
-            plan.blocks = self._plan_blocks(subquery, variable, bindings)
-            if subquery.has_fully_unbound_pattern() and plan.blocks:
-                plan.ask_futures = self._submit_refinement(
-                    subquery, variable, plan.blocks[0], plan.sources
-                )
-                deferred.append(plan)
-            else:
-                self._submit_blocks(plan)
-        # Refinement answers gate only their own subquery's SELECTs; the
-        # rest of the wave is already in flight while we wait.
-        for plan in deferred:
-            refined = []
-            for ask_future in plan.ask_futures:
-                response, error = self.handler.settle(ask_future)
-                # A failed refinement ASK excludes that endpoint — it
-                # cannot answer the dependent SELECTs either (partial
-                # mode; outside it settle re-raised).
-                if error is None and bool(response.value):
-                    refined.append(ask_future.request.endpoint_id)
-            plan.sources = refined or plan.sources
-            self._submit_blocks(plan)
-        results: List[Tuple[Subquery, ResultSet]] = []
-        for plan in plans:
-            per_endpoint: Dict[str, List[ResultSet]] = {
-                eid: [] for eid in plan.sources
-            }
-            for endpoint_id, cached_value in plan.cached:
-                per_endpoint.setdefault(endpoint_id, []).append(cached_value)
-            for endpoint_id, values_block, future in plan.select_futures:
-                settled = self._settle_contribution(
-                    plan.subquery.label, endpoint_id, future
-                )
-                if settled is None:
-                    continue
-                answered_id, value = settled
-                self._cache_store(
-                    plan.subquery, answered_id, value, values_block
-                )
-                per_endpoint.setdefault(answered_id, []).append(value)
-            merged_per_endpoint = {
-                eid: union_all(results_list, self.context)
-                for eid, results_list in per_endpoint.items()
-                if results_list
-            }
-            results.append((
-                plan.subquery,
-                self.combine_endpoint_results(plan.subquery, merged_per_endpoint),
+            plan = dispatcher.plan(subquery, bindings)
+            planned.append((
+                plan, [] if plan.asks else list(dispatcher.request_plan(plan))
             ))
-        return results
-
-    def _submit_blocks(self, plan: _DelayedPlan) -> None:
-        """Dispatch every VALUES block × endpoint of one plan at once.
-
-        Cache interaction, per endpoint: when the *unconstrained*
-        relation is cached, the bound join runs as a local filter and no
-        block is sent there at all; otherwise each (block, endpoint)
-        pair is looked up under its VALUES-constrained key, so an
-        exactly repeated bound workload also short-circuits.
-        """
-        live_sources: List[str] = []
-        for endpoint_id in plan.sources:
-            filtered = self._filter_cached_unconstrained(plan, endpoint_id)
-            if filtered is not None:
-                plan.cached.append((endpoint_id, filtered))
-            else:
-                live_sources.append(endpoint_id)
-        for block in plan.blocks:
-            values_block = ValuesBlock([plan.variable], [(v,) for v in block])
-            text: Optional[str] = None
-            for endpoint_id in live_sources:
-                hit = self._cache_lookup(plan.subquery, endpoint_id, values_block)
-                if hit is not None:
-                    plan.cached.append((endpoint_id, hit))
-                    continue
-                if text is None:
-                    text = plan.subquery.to_sparql(values=values_block)
-                plan.select_futures.append((
-                    endpoint_id,
-                    values_block,
-                    self.handler.submit(Request(endpoint_id, text, "SELECT")),
-                ))
-
-    def _submit_refinement(
-        self,
-        subquery: Subquery,
-        variable: Variable,
-        sample_block: List[GroundTerm],
-        sources: Sequence[str],
-    ) -> List[ResponseFuture]:
-        """Dispatch the bound re-selection ASKs (Alg. 3 line 13)."""
-        values_block = ValuesBlock([variable], [(v,) for v in sample_block])
-        group = GroupPattern(
-            elements=[values_block] + list(subquery.patterns),
-            filters=list(subquery.filters),
-        )
-        text = serialize_query(Query(form="ASK", where=group))
+        for plan, contributions in planned:
+            if plan.asks:
+                dispatcher.refine(plan)
+                contributions.extend(dispatcher.request_plan(plan))
         return [
-            self.handler.submit(Request(eid, text, kind="ASK"))
-            for eid in sources
+            (plan.subquery, plan.sources, contributions)
+            for plan, contributions in planned
         ]
-
-    # -- barrier (sequential) phase-2 path, kept for ablation ------------
-
-    def _evaluate_delayed(
-        self, subquery: Subquery, bindings: Bindings
-    ) -> ResultSet:
-        variable = self._choose_bound_variable(subquery, bindings)
-        if variable is None:
-            # Nothing to bind against: evaluate unbound, concurrently.
-            per_endpoint = self._fetch_unbound(subquery)
-            return self.combine_endpoint_results(subquery, per_endpoint)
-        blocks = self._plan_blocks(subquery, variable, bindings)
-        sources = list(subquery.sources)
-        if subquery.has_fully_unbound_pattern() and blocks:
-            sources = self._refine_sources(subquery, variable, blocks[0], sources)
-        # Same cache interaction as the pipelined path: a cached
-        # unconstrained relation turns the bound join into a local
-        # filter; otherwise per-block constrained keys may still hit.
-        probe = _DelayedPlan(subquery, variable)
-        probe.blocks = blocks
-        probe.sources = sources
-        per_endpoint: Dict[str, List[ResultSet]] = {eid: [] for eid in sources}
-        live_sources: List[str] = []
-        for endpoint_id in sources:
-            filtered = self._filter_cached_unconstrained(probe, endpoint_id)
-            if filtered is not None:
-                per_endpoint[endpoint_id].append(filtered)
-            else:
-                live_sources.append(endpoint_id)
-        for block in blocks:
-            values_block = ValuesBlock([variable], [(v,) for v in block])
-            text = None
-            requests = []
-            for eid in live_sources:
-                hit = self._cache_lookup(subquery, eid, values_block)
-                if hit is not None:
-                    per_endpoint.setdefault(eid, []).append(hit)
-                    continue
-                if text is None:
-                    text = subquery.to_sparql(values=values_block)
-                requests.append(Request(eid, text, kind="SELECT"))
-            for future in self.handler.submit_all(requests):
-                settled = self._settle_contribution(
-                    subquery.label, future.request.endpoint_id, future
-                )
-                if settled is None:
-                    continue
-                answered_id, value = settled
-                self._cache_store(subquery, answered_id, value, values_block)
-                per_endpoint.setdefault(answered_id, []).append(value)
-        merged_per_endpoint = {
-            eid: union_all(results, self.context)
-            for eid, results in per_endpoint.items()
-            if results
-        }
-        return self.combine_endpoint_results(subquery, merged_per_endpoint)
-
-    def _fetch_unbound(self, subquery: Subquery) -> Dict[str, ResultSet]:
-        per_endpoint: Dict[str, ResultSet] = {}
-        text: Optional[str] = None
-        requests = []
-        for eid in subquery.sources:
-            hit = self._cache_lookup(subquery, eid)
-            if hit is not None:
-                per_endpoint[eid] = hit
-                continue
-            if text is None:
-                text = subquery.to_sparql()
-            requests.append(Request(eid, text, kind="SELECT"))
-        for future in self.handler.submit_all(requests):
-            settled = self._settle_contribution(
-                subquery.label, future.request.endpoint_id, future
-            )
-            if settled is not None:
-                self._cache_store(subquery, settled[0], settled[1])
-                per_endpoint[settled[0]] = settled[1]
-        return per_endpoint
-
-    def _refine_sources(
-        self,
-        subquery: Subquery,
-        variable: Variable,
-        sample_block: List[GroundTerm],
-        sources: List[str],
-    ) -> List[str]:
-        """Re-run source selection with found bindings (Alg. 3 line 13).
-
-        Cheap bound ASKs weed out endpoints that cannot contribute, which
-        matters for ``?s ?p ?o``-style patterns relevant to everyone.
-        """
-        futures = self._submit_refinement(subquery, variable, sample_block, sources)
-        refined = []
-        for future in futures:
-            response, error = self.handler.settle(future)
-            if error is None and bool(response.value):
-                refined.append(future.request.endpoint_id)
-        return refined or sources
 
     # ------------------------------------------------------------------
     # Cross-endpoint combination (§3.3 Case 2)
@@ -709,17 +605,17 @@ class SubqueryEvaluator:
             return ResultSet(tuple(subquery.effective_projection()))
         plain = union_all(results, self.context).distinct()
         if len(per_endpoint) < 2 or len(subquery.patterns) < 2:
-            return self._apply_late_filters(subquery, plain)
+            return self.apply_late_filters(subquery, plain)
         header = plain.variables
         internal = [
             v for v in subquery.internal_join_variables() if v in header
         ]
         if not internal or not self._values_overlap(per_endpoint, internal):
-            return self._apply_late_filters(subquery, plain)
+            return self.apply_late_filters(subquery, plain)
         rejoined = self._projection_rejoin(subquery, plain, header)
-        return self._apply_late_filters(subquery, rejoined)
+        return self.apply_late_filters(subquery, rejoined)
 
-    def _apply_late_filters(
+    def apply_late_filters(
         self, subquery: Subquery, result: ResultSet
     ) -> ResultSet:
         """Federator-side filters that were unsafe to push (see

@@ -34,24 +34,31 @@ identical clocks.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..endpoint.errors import FederationError
 from ..endpoint.metrics import ExecutionContext
-from ..federation.request_handler import ElasticRequestHandler, Request
+from ..federation.request_handler import ElasticRequestHandler
 from ..rdf.term import GroundTerm, Variable
 from ..sparql.ast import Query, TriplePattern, ValuesBlock
 from ..sparql.results import ResultSet, ResultStream
 from .engine import LusailEngine, QueryResult
-from .decomposer import compute_projections
 from .joins import SymmetricHashJoin, union_all
 from .optimizer import Relation, plan_join_order
-from .sape import BindingTracker, SubqueryEvaluator, _DelayedPlan
-from .subquery import Subquery, assign_filters
+from .sape import (
+    BindingTracker,
+    Contribution,
+    SubqueryDispatcher,
+    SubqueryEvaluator,
+)
+from .subquery import Subquery
 
 #: observed/estimated cardinality ratio beyond which the runtime monitor
 #: re-ranks the unstarted part of the join chain
 REPLAN_DIVERGENCE = 4.0
+#: target rows per streamed binding batch (both the granularity at which
+#: endpoint responses are sliced onto the virtual timeline and the
+#: granularity of emitted result batches)
+STREAM_BATCH_ROWS = 256
 
 
 def is_streamable(query: Query) -> bool:
@@ -139,125 +146,57 @@ class StreamingResult:
 
 
 def start_stream(
-    engine: LusailEngine,
-    query: Query,
-    context: ExecutionContext,
-    release: Optional[Callable[[], None]],
+    engine: LusailEngine, query: Query, context: ExecutionContext
 ) -> StreamingResult:
     """Build the lazy streaming run for an admitted, streamable query.
 
     Nothing executes until the stream is first iterated; the producer's
-    ``finally`` releases the admission slot and finalizes metrics, so
-    consumers must drain or ``close()`` the stream.
+    ``finally`` runs the engine's epilogue (admission slot, metrics
+    rollups), so consumers must drain or ``close()`` the stream.
     """
     holder = StreamingResult()
-    out_header = tuple(query.projected_variables())
+    run = _StreamingRun(engine, query, context)
+    out_header = run.out_header
 
     def produce():
-        run: Optional[_StreamingRun] = None
+        def truncated(**failure) -> None:
+            holder.truncated = True
+            holder.result = engine._assemble(
+                context, run.decomposition, **failure
+            )
+            context.trace_event(
+                "stream_truncated",
+                reason=holder.result.error,
+                status=holder.result.status,
+                emitted=len(run.final_rows),
+            )
+
         try:
-            try:
-                with engine._make_handler(context) as handler:
-                    with context.phase("execution"):
-                        run = _StreamingRun(engine, query, handler, context)
-                        yield from run.execute()
-                holder.result = _finalize(engine, context, run, out_header)
-            except GeneratorExit:
-                context.trace_event(
-                    "stream_truncated",
-                    reason="stream closed by consumer",
-                    emitted=0 if run is None else len(run.final_rows),
-                )
-                holder.truncated = True
-                holder.result = QueryResult(
-                    status="PARTIAL",
-                    result=ResultSet(
-                        out_header, [] if run is None else run.final_rows
-                    ),
-                    metrics=context.metrics,
-                    error="stream closed before completion",
-                    decomposition=[] if run is None else run.decomposition,
-                    trace=context.trace,
-                    completeness=context.completeness,
-                )
-                raise
-            except FederationError as error:
-                holder.truncated = True
-                context.trace_event(
-                    "stream_truncated",
-                    reason=str(error),
-                    status=error.status,
-                    emitted=0 if run is None else len(run.final_rows),
-                )
-                holder.result = QueryResult(
-                    status=error.status,
-                    result=None,
-                    metrics=context.metrics,
-                    error=str(error),
-                    decomposition=[] if run is None else run.decomposition,
-                    trace=context.trace,
-                    completeness=context.completeness,
-                )
-            except Exception as error:  # runtime exception -> "RE"
-                holder.truncated = True
-                context.trace_event(
-                    "stream_truncated",
-                    reason=f"{type(error).__name__}: {error}",
-                    status="RE",
-                    emitted=0 if run is None else len(run.final_rows),
-                )
-                holder.result = QueryResult(
-                    status="RE",
-                    result=None,
-                    metrics=context.metrics,
-                    error=f"{type(error).__name__}: {error}",
-                    decomposition=[] if run is None else run.decomposition,
-                    trace=context.trace,
-                    completeness=context.completeness,
-                )
+            with engine._make_handler(context) as handler:
+                with context.phase("execution"):
+                    yield from run.execute(handler)
+            holder.result = engine._assemble(
+                context, run.decomposition,
+                ResultSet(out_header, run.final_rows),
+            )
+        except GeneratorExit:
+            truncated(
+                result=ResultSet(out_header, run.final_rows),
+                error="stream closed before completion",
+                status="PARTIAL",
+            )
+            raise
+        except Exception as error:
+            truncated(error=error)
         finally:
-            context.metrics.endpoint_latency = engine.latency_tracker.snapshot()
             if context.metrics.ttfb_seconds == 0.0:
                 # No row ever streamed (empty or failed result): the
                 # first-result time degenerates to the makespan.
                 context.metrics.ttfb_seconds = context.metrics.virtual_seconds
-            if release is not None:
-                release()
+            engine._epilogue(context)
 
     holder.stream = ResultStream(out_header, produce())
     return holder
-
-
-def _finalize(
-    engine: LusailEngine,
-    context: ExecutionContext,
-    run: "_StreamingRun",
-    out_header: Tuple[Variable, ...],
-) -> QueryResult:
-    """Success-path epilogue, mirroring ``_execute_admitted``."""
-    status = "OK"
-    if not context.completeness.complete:
-        status = "PARTIAL"
-        context.trace_event("completeness", **context.completeness.to_dict())
-    if context.join_dictionary is not None:
-        context.trace_event(
-            "dictionary",
-            join_terms=len(context.join_dictionary),
-            interned=context.metrics.join_terms_interned,
-            hits=context.metrics.join_dictionary_hits,
-            decode_seconds=context.metrics.join_decode_seconds,
-        )
-    context.trace_event(
-        "done", rows=len(run.final_rows), requests=context.metrics.requests
-    )
-    return QueryResult(
-        status=status,
-        result=ResultSet(out_header, run.final_rows),
-        metrics=context.metrics,
-        decomposition=run.decomposition,
-        trace=context.trace,
-        completeness=context.completeness,
-    )
 
 
 class _RelationState:
@@ -318,21 +257,17 @@ class _StreamingRun:
     """One streaming execution over an analyzed, classified query."""
 
     def __init__(
-        self,
-        engine: LusailEngine,
-        query: Query,
-        handler: ElasticRequestHandler,
-        context: ExecutionContext,
+        self, engine: LusailEngine, query: Query, context: ExecutionContext
     ):
         self.engine = engine
         self.query = query
-        self.handler = handler
         self.context = context
         self.metrics = context.metrics
         self.out_header = tuple(query.projected_variables())
         self.decomposition: List[Subquery] = []
         self.global_filters = []
         self.evaluator: Optional[SubqueryEvaluator] = None
+        self.dispatcher: Optional[SubqueryDispatcher] = None
         self.tracker: Optional[BindingTracker] = None
         self.states: List[_RelationState] = []
         self.by_name: Dict[str, _RelationState] = {}
@@ -359,46 +294,20 @@ class _StreamingRun:
     # Setup: analysis, classification, chain construction
     # ------------------------------------------------------------------
 
-    def execute(self):
+    def execute(self, handler: ElasticRequestHandler):
         """Generator of final-answer batches over the query header."""
-        engine, context, handler = self.engine, self.context, self.handler
+        engine, context = self.engine, self.context
         group = self.query.where
         values_blocks = [
             e for e in group.elements if isinstance(e, ValuesBlock)
         ]
-        subqueries, _report = engine._analyze(group, handler, context)
-        with context.phase("analysis"):
-            self.global_filters = assign_filters(subqueries, group.filters)
-            needed = set(self.out_header)
-            for filter_expr in group.filters:
-                needed |= filter_expr.variables()
-            for block in values_blocks:
-                needed |= set(block.variables)
-            compute_projections(subqueries, frozenset(needed))
-            engine._classify_subqueries(subqueries, values_blocks, 0, handler)
+        subqueries, self.global_filters, _ = engine._prepare_group(
+            group, handler, context, frozenset(self.out_header), values_blocks
+        )
         self.decomposition = subqueries
-        context.trace_event(
-            "decomposition",
-            subqueries=[
-                {
-                    "label": sq.label,
-                    "patterns": len(sq.patterns),
-                    "sources": list(sq.sources),
-                    "estimated": sq.estimated_cardinality,
-                    "delayed": sq.delayed,
-                    "cache_warm": sq.cache_warm,
-                }
-                for sq in subqueries
-            ],
-        )
-        self.evaluator = SubqueryEvaluator(
-            handler,
-            context,
-            values_block_size=engine.values_block_size,
-            pipeline=engine.pipeline,
-            result_cache=engine.result_cache,
-        )
-        self.tracker = BindingTracker(self.evaluator._binding_dictionary)
+        self.evaluator = engine._make_evaluator(handler, context)
+        self.dispatcher = self.evaluator.dispatcher
+        self.tracker = BindingTracker(self.dispatcher.binding_dictionary)
         self._build_states(subqueries, values_blocks)
         self._classify_modes()
         self._plan_chain()
@@ -528,13 +437,20 @@ class _StreamingRun:
         )
         self._seq += 1
 
-    def _schedule_contribution(
-        self,
-        state: _RelationState,
-        endpoint_id: str,
-        value: ResultSet,
-        future,
-        floor: float,
+    def _arrive(
+        self, state: _RelationState, contribution: Contribution, floor: float
+    ) -> None:
+        """Put one requested contribution on the timeline (settling it
+        first when it is still in flight); dropped ones leave no event."""
+        if contribution.future is None:
+            self._schedule_cached(
+                state, contribution.endpoint_id, contribution.value, floor
+            )
+        elif self.dispatcher.settle(contribution):
+            self._schedule_response(state, contribution, floor)
+
+    def _schedule_response(
+        self, state: _RelationState, contribution: Contribution, floor: float
     ) -> None:
         """Slice one settled response into timed batch-arrival events.
 
@@ -543,17 +459,16 @@ class _StreamingRun:
         spread uniformly across that window, modelling chunked delivery
         of the same bytes the materialized path receives all at once.
         """
-        finish = max(floor, future._finish)
-        response = future._response
-        cost = response.cost_seconds if response is not None else 0.0
+        value, endpoint_id = contribution.value, contribution.endpoint_id
+        finish = max(floor, contribution.future.finish)
         rows = value.rows
         if not rows:
             self._push_event(finish, "batch", state, endpoint_id, value)
             state.last_arrival = max(state.last_arrival, finish)
             return
-        start = max(floor, finish - max(cost, 0.0))
+        start = max(floor, finish - contribution.future.cost_seconds)
         span = max(finish - start, 0.0)
-        size = max(1, self.engine.stream_batch_rows)
+        size = STREAM_BATCH_ROWS
         count = (len(rows) + size - 1) // size
         for k in range(count):
             chunk = ResultSet(
@@ -590,41 +505,27 @@ class _StreamingRun:
         """Submit every concurrent subquery; timeline its contributions.
 
         Mirrors the materialized phase 1 request-for-request (same cache
-        lookups in the same order, one ``submit_all`` wave) so lane
+        lookups in the same order, one submission wave) so lane
         placement — and therefore the makespan — matches; the only
         difference is that each response additionally produces timed
         batch events."""
-        evaluator = self.evaluator
-        wave: List[Tuple[_RelationState, Request]] = []
-        cached: List[Tuple[_RelationState, str, ResultSet]] = []
+        wave: List[Tuple[_RelationState, Contribution]] = []
         launched: List[_RelationState] = []
         for state in self.states:
             sq = state.subquery
             if sq is None or (sq.delayed and state.mode != "unbound"):
                 continue
             launched.append(state)
-            text: Optional[str] = None
-            for endpoint_id in sq.sources:
-                hit = evaluator._cache_lookup(sq, endpoint_id)
-                if hit is not None:
-                    cached.append((state, endpoint_id, hit))
-                    continue
-                if text is None:
-                    text = sq.to_sparql()
-                wave.append((state, Request(endpoint_id, text, kind="SELECT")))
-        futures = self.handler.submit_all([request for _, request in wave])
-        for (state, endpoint_id, hit) in cached:
-            self._schedule_cached(state, endpoint_id, hit, t0)
-        for (state, request), future in zip(wave, futures):
-            sq = state.subquery
-            settled = evaluator._settle_contribution_timed(
-                sq.label, request.endpoint_id, future
+            wave.extend(
+                (state, contribution)
+                for contribution in self.dispatcher.request(sq, sq.sources)
             )
-            if settled is None:
-                continue
-            answered_id, value, answer = settled
-            evaluator._cache_store(sq, answered_id, value)
-            self._schedule_contribution(state, answered_id, value, answer, t0)
+        # Cache-served contributions arrive first; the requested ones
+        # settle behind them in submission order.
+        for served in (True, False):
+            for state, contribution in wave:
+                if (contribution.future is None) is served:
+                    self._arrive(state, contribution, t0)
         for state in launched:
             self._push_event(
                 max(state.last_arrival, t0), "eos", state, None, None
@@ -646,15 +547,7 @@ class _StreamingRun:
                 # A cluster of mutually-dependent barrier subqueries has
                 # no external trigger left: force the most selective one
                 # (the others will chain off its end-of-stream).
-                forced = min(
-                    pending,
-                    key=lambda s: (
-                        self.evaluator._refined_size(
-                            s.subquery, self.tracker.bindings
-                        ),
-                        s.name,
-                    ),
-                )
+                forced = self._most_selective(pending)
                 self._dispatch_barrier_state(forced, self.emit_clock)
                 continue
             time, _seq, kind, state, endpoint_id, batch = heapq.heappop(
@@ -679,10 +572,20 @@ class _StreamingRun:
             state.per_endpoint.setdefault(endpoint_id, []).append(batch)
         before = self.metrics.virtual_seconds
         if state.subquery is not None:
-            batch = self.evaluator._apply_late_filters(state.subquery, batch)
-        projected = batch.project(state.header)
+            batch = self.evaluator.apply_late_filters(state.subquery, batch)
+        return self._route_fresh(state, batch, before, time)
+
+    def _route_fresh(
+        self,
+        state: _RelationState,
+        result: ResultSet,
+        before: float,
+        time: float,
+    ) -> Optional[ResultSet]:
+        """Route the rows of ``result`` this relation has not routed yet;
+        the virtual cost spent since ``before`` lands on the emit clock."""
         fresh = []
-        for row in projected.rows:
+        for row in result.project(state.header).rows:
             if row not in state.seen:
                 state.seen.add(row)
                 fresh.append(row)
@@ -720,20 +623,9 @@ class _StreamingRun:
             # The §3.3 cross-endpoint re-join (and any row the per-batch
             # path saw only post-filter) can add rows beyond the union
             # of streamed batches: route the difference now.
-            before = self.metrics.virtual_seconds
-            delta = []
-            projected = combined.project(state.header)
-            for row in projected.rows:
-                if row not in state.seen:
-                    state.seen.add(row)
-                    delta.append(row)
-            emitted = self._route_and_emit(state, delta)
-            self.emit_clock += max(
-                0.0, self.metrics.virtual_seconds - before
+            emitted = self._route_fresh(
+                state, combined, self.metrics.virtual_seconds, time
             )
-            emitted = self._stamp_first(emitted)
-            for dependent in self.incremental_deps.get(state.name, ()):
-                self._feed_incremental(dependent, delta, time)
         elif state.initial is not None:
             state.observed = len(state.initial)
         for dependent in self.incremental_deps.get(state.name, ()):
@@ -818,7 +710,7 @@ class _StreamingRun:
                 continue
             state.seen_values.add(value)
             state.pending_values.append(value)
-        block_size = self.evaluator.values_block_size
+        block_size = self.dispatcher.values_block_size
         while len(state.pending_values) >= block_size:
             block = state.pending_values[:block_size]
             del state.pending_values[:block_size]
@@ -829,7 +721,7 @@ class _StreamingRun:
         if state.dispatched:
             return
         state.dispatched = True
-        block_size = self.evaluator.values_block_size
+        block_size = self.dispatcher.values_block_size
         while state.pending_values:
             block = state.pending_values[:block_size]
             del state.pending_values[:block_size]
@@ -849,56 +741,32 @@ class _StreamingRun:
         if self._deadline_expired():
             self._note_deadline_skip(sq.label)
             return
-        evaluator = self.evaluator
+        dispatcher = self.dispatcher
         block = sorted(block, key=lambda term: term.sort_key())
-        values_block = ValuesBlock([state.variable], [(v,) for v in block])
         if state.live_sources is None:
             # First dispatch: endpoints whose unconstrained relation is
             # cached are served by local filtering for every block.
-            state.live_sources = []
-            for endpoint_id in sq.sources:
-                cached = None
-                if (
-                    evaluator.result_cache is not None
-                    and state.variable in sq.effective_projection()
-                ):
-                    cached = evaluator._cache_lookup(sq, endpoint_id)
-                if cached is not None:
-                    state.local_cached[endpoint_id] = cached
-                else:
-                    state.live_sources.append(endpoint_id)
+            state.local_cached, state.live_sources = dispatcher.split_cached(
+                sq, state.variable, sq.sources
+            )
         state.block_count += 1
         if partial:
             self.metrics.values_dispatches_partial += 1
         wanted = set(block)
         for endpoint_id, cached in state.local_cached.items():
-            index = cached.variables.index(state.variable)
-            rows = [row for row in cached.rows if row[index] in wanted]
-            self.context.charge_join(len(cached))
-            if state.block_count > 1:
-                self.metrics.requests_avoided += 1
             self._schedule_cached(
-                state, endpoint_id, ResultSet(cached.variables, rows), at
+                state,
+                endpoint_id,
+                dispatcher.filter_cached(
+                    cached, state.variable, wanted, int(state.block_count > 1)
+                ),
+                at,
             )
-        text: Optional[str] = None
-        for endpoint_id in state.live_sources:
-            hit = evaluator._cache_lookup(sq, endpoint_id, values_block)
-            if hit is not None:
-                self._schedule_cached(state, endpoint_id, hit, at)
-                continue
-            if text is None:
-                text = sq.to_sparql(values=values_block)
-            future = self.handler.submit(
-                Request(endpoint_id, text, kind="SELECT"), at=at
-            )
-            settled = evaluator._settle_contribution_timed(
-                sq.label, endpoint_id, future
-            )
-            if settled is None:
-                continue
-            answered_id, value, answer = settled
-            evaluator._cache_store(sq, answered_id, value, values_block)
-            self._schedule_contribution(state, answered_id, value, answer, at)
+        values_block = ValuesBlock([state.variable], [(v,) for v in block])
+        for contribution in dispatcher.request(
+            sq, state.live_sources, values_block, at
+        ):
+            self._arrive(state, contribution, at)
 
     # ------------------------------------------------------------------
     # Barrier dispatch (the materialized SAPE wave, event-triggered)
@@ -922,21 +790,21 @@ class _StreamingRun:
                     ready.append(state)
             if not ready:
                 return
-            chosen = min(
-                ready,
-                key=lambda s: (
-                    self.evaluator._refined_size(
-                        s.subquery, self.tracker.bindings
-                    ),
-                    s.name,
-                ),
-            )
+            chosen = self._most_selective(ready)
             self._dispatch_barrier_state(chosen, time)
+
+    def _most_selective(self, states: List[_RelationState]) -> _RelationState:
+        return min(
+            states,
+            key=lambda s: (
+                self.evaluator.refined_size(s.subquery, self.tracker.bindings),
+                s.name,
+            ),
+        )
 
     def _dispatch_barrier_state(
         self, state: _RelationState, at: float
     ) -> None:
-        evaluator = self.evaluator
         sq = state.subquery
         state.dispatched = True
         if self._deadline_expired():
@@ -944,83 +812,13 @@ class _StreamingRun:
             state.skipped = True
             self._push_event(at, "eos", state, None, None)
             return
-        variable = evaluator._choose_bound_variable(sq, self.tracker.bindings)
-        if variable is None:
-            text: Optional[str] = None
-            for endpoint_id in sq.sources:
-                hit = evaluator._cache_lookup(sq, endpoint_id)
-                if hit is not None:
-                    self._schedule_cached(state, endpoint_id, hit, at)
-                    continue
-                if text is None:
-                    text = sq.to_sparql()
-                future = self.handler.submit(
-                    Request(endpoint_id, text, kind="SELECT"), at=at
-                )
-                settled = evaluator._settle_contribution_timed(
-                    sq.label, endpoint_id, future
-                )
-                if settled is None:
-                    continue
-                answered_id, value, answer = settled
-                evaluator._cache_store(sq, answered_id, value)
-                self._schedule_contribution(
-                    state, answered_id, value, answer, at
-                )
-            self._push_event(
-                max(at, state.last_arrival), "eos", state, None, None
-            )
-            return
-        blocks = evaluator._plan_blocks(sq, variable, self.tracker.bindings)
-        sources = list(sq.sources)
-        if sq.has_fully_unbound_pattern() and blocks:
-            ask_futures = evaluator._submit_refinement(
-                sq, variable, blocks[0], sources
-            )
-            refined = []
-            gate = at
-            for ask_future in ask_futures:
-                response, error = self.handler.settle(ask_future)
-                gate = max(gate, ask_future._finish)
-                if error is None and bool(response.value):
-                    refined.append(ask_future.request.endpoint_id)
-            sources = refined or sources
-            at = gate  # dependent SELECTs wait for their refinement ASKs
-        probe = _DelayedPlan(sq, variable)
-        probe.blocks = blocks
-        probe.sources = sources
-        live: List[str] = []
-        for endpoint_id in sources:
-            filtered = evaluator._filter_cached_unconstrained(
-                probe, endpoint_id
-            )
-            if filtered is not None:
-                self._schedule_cached(state, endpoint_id, filtered, at)
-            else:
-                live.append(endpoint_id)
-        for block in blocks:
-            values_block = ValuesBlock([variable], [(v,) for v in block])
-            text = None
-            for endpoint_id in live:
-                hit = evaluator._cache_lookup(sq, endpoint_id, values_block)
-                if hit is not None:
-                    self._schedule_cached(state, endpoint_id, hit, at)
-                    continue
-                if text is None:
-                    text = sq.to_sparql(values=values_block)
-                future = self.handler.submit(
-                    Request(endpoint_id, text, kind="SELECT"), at=at
-                )
-                settled = evaluator._settle_contribution_timed(
-                    sq.label, endpoint_id, future
-                )
-                if settled is None:
-                    continue
-                answered_id, value, answer = settled
-                evaluator._cache_store(sq, answered_id, value, values_block)
-                self._schedule_contribution(
-                    state, answered_id, value, answer, at
-                )
+        plan = self.dispatcher.plan(sq, self.tracker.bindings)
+        if plan.asks:
+            self.dispatcher.refine(plan)
+            # dependent SELECTs wait for their refinement ASKs
+            at = max([at] + [ask.finish for ask in plan.asks])
+        for contribution in self.dispatcher.request_plan(plan, at):
+            self._arrive(state, contribution, at)
         self._push_event(
             max(at, state.last_arrival), "eos", state, None, None
         )
@@ -1058,7 +856,7 @@ class _StreamingRun:
             if relation.eos_done:
                 return float(relation.observed)
             if relation.subquery is not None and relation.delayed:
-                return self.evaluator._refined_size(
+                return self.evaluator.refined_size(
                     relation.subquery, self.tracker.bindings
                 )
             return float(
@@ -1079,7 +877,7 @@ class _StreamingRun:
             old_suffix=list(suffix),
             new_suffix=list(reordered),
         )
-        carried = self.stages[cut - 1]._left.rows
+        carried = self.stages[cut - 1].left_rows
         self.order = self.order[:cut] + reordered
         self.positions = {name: i for i, name in enumerate(self.order)}
         header = (
@@ -1106,7 +904,7 @@ class _StreamingRun:
         )
 
     def _note_deadline_skip(self, label: str) -> None:
-        self.evaluator._mark_degraded(label, "(deadline)")
+        self.dispatcher.mark_degraded(label, "(deadline)")
         if not self._deadline_counted:
             self._deadline_counted = True
             self.metrics.deadline_exceeded += 1

@@ -181,6 +181,17 @@ class ResponseFuture:
         """Whether this request has been scheduled (resolved)."""
         return self._scheduled
 
+    @property
+    def finish(self) -> float:
+        """Virtual time this request left its endpoint lane (0.0 until
+        resolved)."""
+        return self._finish
+
+    @property
+    def cost_seconds(self) -> float:
+        """The answer's lane occupancy; 0.0 for a failed request."""
+        return 0.0 if self._response is None else self._response.cost_seconds
+
     def result(self) -> Response:
         return self._handler._resolve(self)
 

@@ -12,14 +12,19 @@ as alternative *modes* lives here as oracles instead:
   FILTER EXISTS, sub-SELECT, aggregation) is the production evaluator's
   code, so a differential against it isolates the planned ID pipeline.
 
-Neither promises a row *order*: compare as multisets (``rows_multiset``).
+- :func:`union_graph_answer` — the federated contract itself: the
+  query evaluated by :class:`SeedEvaluator` over the union of every
+  endpoint's triples.  What used to be checked scheduler-mode against
+  scheduler-mode is checked against this.
+
+None promises a row *order*: compare as multisets (``rows_multiset``).
 Order is pinned separately by the golden test in ``test_public_surface``.
 """
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Set
 
-from repro.rdf import TriplePattern, Variable
-from repro.sparql import Evaluator
+from repro.rdf import Triple, TriplePattern, Variable
+from repro.sparql import Evaluator, parse_query
 from repro.store import TripleStore
 
 Binding = Dict[Variable, object]
@@ -39,6 +44,17 @@ def reference_bgp(store: TripleStore, patterns: List[TriplePattern]) -> List[Bin
                     next_solutions.append(merged)
         solutions = next_solutions
     return solutions
+
+
+def union_graph_answer(
+    endpoint_triples: Iterable[Iterable[Triple]], query_text: str
+) -> Set[tuple]:
+    """The distinct rows of ``query_text`` over the merged graph."""
+    merged = TripleStore()
+    for triples in endpoint_triples:
+        merged.add_all(triples)
+    result = SeedEvaluator(merged).select(parse_query(query_text))
+    return {tuple(row) for row in result.rows}
 
 
 def rows_multiset(result):

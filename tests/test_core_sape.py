@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.sape import BindingTracker, SubqueryEvaluator
 from repro.core.subquery import Subquery
+from repro.core.trace import QueryTrace
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import ElasticRequestHandler, Federation
 from repro.rdf import IRI, TermDictionary, Triple, TriplePattern, Variable
@@ -110,18 +111,30 @@ class TestDelayedPhase:
         # 3 bound values -> 3 blocks x 2 endpoints, plus phase-1's 2
         assert context.metrics.select_requests == 2 + 6
 
-    def test_most_selective_first(self, federation):
-        evaluator, _ = make_evaluator(federation)
+    def test_wave_leader_is_the_most_selective(self, federation):
+        """Two delayed subqueries sharing ?o cannot share a wave: the
+        smaller estimate goes first and its bindings bound the other."""
+        evaluator, context = make_evaluator(federation)
+        context.trace = QueryTrace()
         small = Subquery(
-            patterns=[P_PATTERN], sources=("ep1",), label="small",
+            patterns=[Q_PATTERN], sources=("ep1",), label="small",
+            projection=[Variable("o"), Variable("z")],
             estimated_cardinality=2.0, delayed=True,
         )
         big = Subquery(
-            patterns=[Q_PATTERN], sources=("ep1",), label="big",
+            patterns=[P_PATTERN], sources=("ep1",), label="big",
+            projection=[Variable("s"), Variable("o")],
             estimated_cardinality=50.0, delayed=True,
         )
-        chosen = evaluator._most_selective([big, small], {})
-        assert chosen is small
+        relations = evaluator.evaluate([big, small])
+        finished = [
+            event.detail["label"]
+            for event in context.trace.of_kind("subquery_result")
+        ]
+        assert finished == ["small", "big"]
+        # big ran bound to small's single ?o value, not unbound
+        assert len(relations["big"]) == 1
+        assert context.metrics.scheduler_waves == 2
 
 
 class TestBindingsDerivation:
@@ -169,8 +182,13 @@ class TestSourceRefinement:
             estimated_cardinality=10.0,
             delayed=True,
         )
-        refined = evaluator._refine_sources(
-            spo, Variable("a"), [iri("a")], ["ep1", "ep2"]
+        anchor = Subquery(
+            patterns=[TriplePattern(Variable("a"), iri("p"), iri("b"))],
+            sources=("ep1",), label="anchor", projection=[Variable("a")],
         )
-        assert refined == ["ep1"]
+        relations = evaluator.evaluate([anchor, spo])
+        assert len(relations["spo"]) == 1
+        # one bound ASK per candidate endpoint; only ep1 said yes, so the
+        # bound SELECT went to ep1 alone (plus the anchor's SELECT)
         assert context.metrics.ask_requests == 2
+        assert context.metrics.select_requests == 2

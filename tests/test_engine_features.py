@@ -167,3 +167,24 @@ class TestExplain:
         )
         assert subqueries
         assert all(sq.sources for sq in subqueries)
+
+    def test_explain_honours_reset_request_windows(self):
+        """On a served engine (``reset_request_windows=False``) explain()
+        must not clear the rate-limit windows queries in flight are
+        being measured against — it used to build its context with the
+        default ``reset_windows=True``."""
+        limited = LocalEndpoint.from_triples(
+            "ep1", nt_parse(EP1), max_requests_per_query=50
+        )
+        federation = Federation(
+            [limited, LocalEndpoint.from_triples("ep2", nt_parse(EP2))],
+            network=LOCAL_CLUSTER,
+        )
+        query = "SELECT ?s WHERE { ?s <http://v/p> ?b . ?b <http://v/q> ?c }"
+        LusailEngine(federation).explain(query)  # resets, then probes
+        probes = limited._requests_in_window
+        assert probes > 0
+        limited.reset_request_window()
+        limited.execute("ASK { ?s ?p ?o }")  # a part-used window
+        LusailEngine(federation, reset_request_windows=False).explain(query)
+        assert limited._requests_in_window == 1 + probes

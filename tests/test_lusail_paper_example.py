@@ -28,7 +28,7 @@ class TestGJVDetectionOnPaperExample:
         handler = ElasticRequestHandler(federation, context)
         selection = SourceSelector(handler).select_all(patterns)
         detector = GJVDetector(handler, selection)
-        return detector.detect(patterns)
+        return detector.collect(detector.begin(patterns))
 
     def test_u_and_p_are_global(self, paper_federation):
         report = self.detect(paper_federation)

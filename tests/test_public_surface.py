@@ -1,14 +1,17 @@
-"""The knob budget and the row-order contract of the one store / one
-evaluator.
+"""The knob budget, the row-order contract and the accounting contract
+of the one store / one evaluator / one scheduler.
 
-``src/`` used to keep every superseded storage and evaluation path behind
-an ablation knob (``use_columnar``, ``shards``, ``use_dictionary``,
-``use_planner``, ``vectorized_joins``).  They are gone; the signatures
-below are pinned so one cannot come back without a diff to this file.
+``src/`` used to keep every superseded storage, evaluation and
+scheduling path behind an ablation knob (``use_columnar``, ``shards``,
+``use_dictionary``, ``use_planner``, ``vectorized_joins``, ``pipeline``,
+``streaming``).  They are gone; the signatures below are pinned so one
+cannot come back without a diff to this file.
 
 Row *order* used to be pinned only by mode-vs-mode identity tests.  With
 one mode left, it is pinned by digests of LUBM Q1–Q4 taken at the commit
-that still had the other modes (``b0fdb09``).
+that still had the other modes (``b0fdb09``).  Request, byte, clock and
+scheduler *accounting* is pinned the same way, by counters taken at the
+last commit with two dispatch paths (``052c3fa``).
 """
 
 import hashlib
@@ -16,6 +19,10 @@ import inspect
 
 import pytest
 
+from repro.bench.federation_bench import (
+    DIRECTORY_QUERY,
+    build_directory_federation,
+)
 from repro.core import LusailEngine
 from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
 from repro.endpoint import LocalEndpoint
@@ -46,15 +53,18 @@ def _parameters(function):
         "timeout_seconds", "max_intermediate_rows", "join_threads",
         "real_time_limit", "partial_results", "deadline", "reset_windows",
     ]),
+    (LusailEngine.__init__, [
+        "federation", "pool_size", "delay_threshold", "enable_sape",
+        "use_cache", "strict_checks", "values_block_size", "join_threads",
+        "use_threads", "max_retries", "partial_results", "breaker",
+        "breaker_threshold", "breaker_cooldown_seconds",
+        "request_timeout_seconds", "hedge_requests",
+        "hedge_threshold_seconds", "max_inflight", "admission",
+        "result_cache", "reset_request_windows",
+    ]),
 ])
 def test_exact_parameter_names(function, expected):
     assert _parameters(function) == expected
-
-
-def test_engine_knob_budget():
-    knobs = _parameters(LusailEngine.__init__)
-    assert knobs[0] == "federation"
-    assert len(knobs) - 1 <= 26, knobs
 
 
 def _digest(result):
@@ -86,3 +96,65 @@ def test_lubm_rows_in_golden_order(name):
         for endpoint_id in federation.endpoint_ids
     ]
     assert observed == _GOLDEN[name]
+
+
+def _lubm_engine():
+    return LusailEngine(LubmGenerator(universities=2).build_federation())
+
+
+def _directory_engine():
+    return LusailEngine(
+        build_directory_federation(
+            universities=4, students_per_university=2,
+            noise_addresses=120, noise_emails=150,
+        ),
+        pool_size=32, delay_threshold="mu", values_block_size=2,
+    )
+
+
+_ACCOUNTING_WORKLOADS = {
+    "Q1": (_lubm_engine, LUBM_QUERIES["Q1"]),
+    "Q2": (_lubm_engine, LUBM_QUERIES["Q2"]),
+    "Q3": (_lubm_engine, LUBM_QUERIES["Q3"]),
+    "Q4": (_lubm_engine, LUBM_QUERIES["Q4"]),
+    "directory": (_directory_engine, DIRECTORY_QUERY),
+}
+
+#: (workload, entry point) -> [cold run, repeat on the same engine], each
+#: (requests, bytes sent + received, virtual seconds, scheduler waves,
+#: in-flight high water, result-cache hits)
+_GOLDEN_ACCOUNTING = {
+    ("Q1", "execute"): [(30, 12758, 0.00756716, 8, 16, 0), (0, 0, 0.0, 0, 0, 2)],
+    ("Q1", "execute_streaming"): [(30, 12758, 0.00756716, 8, 16, 0), (0, 0, 0.0, 0, 0, 2)],
+    ("Q2", "execute"): [(30, 10878, 0.007554512, 8, 16, 0), (0, 0, 0.0, 0, 0, 2)],
+    ("Q2", "execute_streaming"): [(30, 10878, 0.007554512, 8, 16, 0), (0, 0, 0.0, 0, 0, 2)],
+    ("Q3", "execute"): [(14, 9534, 0.003564295, 7, 2, 0), (0, 0, 4.875e-06, 0, 0, 4)],
+    ("Q3", "execute_streaming"): [(14, 9534, 0.00356267, 8, 2, 0), (0, 0, 4.875e-06, 0, 0, 4)],
+    ("Q4", "execute"): [(50, 22188, 0.012620377, 14, 22, 0), (0, 0, 6.625e-06, 0, 0, 4)],
+    ("Q4", "execute_streaming"): [(50, 22188, 0.012620377, 14, 22, 0), (0, 0, 6.625e-06, 0, 0, 4)],
+    ("directory", "execute"): [(64, 13726, 1.201730083, 7, 16, 0), (0, 0, 2.75e-06, 0, 0, 16)],
+    ("directory", "execute_streaming"): [(64, 13726, 1.201729583, 18, 16, 0), (0, 0, 2.75e-06, 0, 0, 16)],
+}
+
+
+@pytest.mark.parametrize("name,entry_point", sorted(_GOLDEN_ACCOUNTING))
+def test_accounting_matches_the_two_path_commit(name, entry_point):
+    build, query_text = _ACCOUNTING_WORKLOADS[name]
+    engine = build()
+    observed = []
+    for _ in range(2):
+        if entry_point == "execute":
+            outcome = engine.execute(query_text)
+        else:
+            outcome = engine.execute_streaming(query_text).drain()
+        assert outcome.status == "OK", outcome.error
+        metrics = outcome.metrics
+        observed.append((
+            metrics.requests,
+            metrics.bytes_sent + metrics.bytes_received,
+            round(metrics.virtual_seconds, 9),
+            metrics.scheduler_waves,
+            metrics.inflight_high_water,
+            metrics.result_cache_hits,
+        ))
+    assert observed == _GOLDEN_ACCOUNTING[(name, entry_point)]

@@ -1,16 +1,16 @@
 """Streaming adaptive execution: pipelined joins, partial dispatch,
-time-to-first-result, and the materialized ablation.
+time-to-first-result, and the materialized fallback.
 
 The invariants under test:
 
 - the streaming executor returns exactly the materialized answer on the
   paper's running example and on the delayed-subquery directory
   workload — differentially, under Hypothesis-chosen engine knobs;
-- ``streaming=False`` is a true ablation: rows, row *order*, and the
-  virtual clock are bit-identical to the materialized path, and the
-  handle reports ``streamed=False`` with ``ttfb == makespan``;
 - non-streamable query shapes (ORDER BY, aggregates, ...) fall back to
-  the materialized path through the same API;
+  the materialized path through the same API, parsed once, reporting
+  ``streamed=False`` with ``ttfb == makespan``;
+- a streamed query's endpoint health reaches ``engine.endpoint_stats()``
+  like a materialized one's (both run the same epilogue);
 - time-to-first-result beats the makespan on the delayed-subquery
   workload, with incremental VALUES dispatch observable in the metrics;
 - under injected transient faults the streamed answer still matches
@@ -183,32 +183,11 @@ class TestStreamingMatchesMaterialized:
 
 
 # ----------------------------------------------------------------------
-# The ablation knob and the fallback path
+# The fallback path
 # ----------------------------------------------------------------------
 
 
-class TestAblationAndFallback:
-    def test_streaming_false_is_bit_identical(self):
-        reference = LusailEngine(
-            _directory_federation(), **_DIRECTORY_KNOBS
-        ).execute(DIRECTORY_QUERY)
-        engine = LusailEngine(
-            _directory_federation(), streaming=False, **_DIRECTORY_KNOBS
-        )
-        handle, outcome = _stream_rows(engine, DIRECTORY_QUERY)
-        assert not handle.streamed
-        assert outcome.status == reference.status
-        assert outcome.result.variables == reference.result.variables
-        # bit-identical: same rows in the same order, same virtual clock
-        assert list(outcome.result.rows) == list(reference.result.rows)
-        assert outcome.metrics.virtual_seconds == pytest.approx(
-            reference.metrics.virtual_seconds
-        )
-        # a materialized run's first result is its last: ttfb == makespan
-        assert outcome.metrics.ttfb_seconds == pytest.approx(
-            outcome.metrics.virtual_seconds
-        )
-
+class TestFallback:
     def test_order_by_falls_back(self):
         engine = LusailEngine(build_paper_federation())
         query = QUERY_QA.rstrip() + "\nORDER BY ?S"
@@ -216,6 +195,30 @@ class TestAblationAndFallback:
         assert not handle.streamed
         assert outcome.status == "OK"
         assert result_values(outcome.result) == QA_EXPECTED
+        # a materialized run's first result is its last: ttfb == makespan
+        assert outcome.metrics.ttfb_seconds == pytest.approx(
+            outcome.metrics.virtual_seconds
+        )
+
+    def test_fallback_parses_the_query_once(self, monkeypatch):
+        """The prologue parses; the materialized executor is handed the
+        Query (it used to be handed the text and parse it again)."""
+        from repro.core import engine as engine_module
+
+        parsed = []
+        real_parse = engine_module.parse_query
+
+        def counting_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(engine_module, "parse_query", counting_parse)
+        query = QUERY_QA.rstrip() + "\nORDER BY ?S"
+        handle, outcome = _stream_rows(
+            LusailEngine(build_paper_federation()), query
+        )
+        assert not handle.streamed and outcome.status == "OK"
+        assert parsed == [query]
 
     def test_is_streamable_rejects_modifiers(self):
         from repro.sparql.parser import parse_query
@@ -319,6 +322,28 @@ class TestFaultsAndDeadlines:
             assert result_values(outcome.result) == result_values(
                 full.result
             )
+
+    def test_streamed_breaker_trip_reaches_endpoint_stats(self):
+        """``/stats`` reads ``engine.endpoint_stats()``; a streamed query
+        that trips a breaker must show up there exactly like a
+        materialized one (the streaming epilogue used to skip the
+        health rollup, leaving it empty)."""
+        down = FaultProfile(outage_windows=(OutageWindow(0, 10_000),))
+        rollups = {}
+        for mode in ("execute", "execute_streaming"):
+            engine = LusailEngine(
+                _faulty_paper_federation(ep2_profile=down),
+                partial_results=True,
+            )
+            if mode == "execute":
+                outcome = engine.execute(QUERY_QA)
+            else:
+                outcome = engine.execute_streaming(QUERY_QA).drain()
+            assert outcome.status == "PARTIAL"
+            rollups[mode] = engine.endpoint_stats()
+        assert rollups["execute"]["ep2"]["breaker_state"] == "open"
+        assert rollups["execute"]["ep2"]["failed_attempts"] > 0
+        assert rollups["execute_streaming"] == rollups["execute"]
 
     def test_closing_the_stream_early_is_partial(self):
         engine = LusailEngine(_directory_federation(), **_DIRECTORY_KNOBS)
@@ -537,7 +562,7 @@ class TestBackdatedSubmit:
                     at=0.0 if backdate else None,
                 )
                 handler.settle(probe)
-                finishes[backdate] = probe._finish
+                finishes[backdate] = probe.finish
         assert finishes[True] < finishes[False]
 
     def test_backdating_clamps_to_now(self):
@@ -550,12 +575,12 @@ class TestBackdatedSubmit:
                 Request("ep1", _ASK, kind="ASK"), at=now + 1e9
             )
             handler.settle(future_dated)
-            assert future_dated._finish <= now + 10.0
+            assert future_dated.finish <= now + 10.0
             negative = handler.submit(
                 Request("ep1", _ASK, kind="ASK"), at=-5.0
             )
             handler.settle(negative)
-            assert negative._finish >= 0.0
+            assert negative.finish >= 0.0
 
 
 # ----------------------------------------------------------------------
