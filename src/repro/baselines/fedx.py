@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..endpoint.metrics import ExecutionContext
-from ..federation.cache import AskCache
+from ..federation.cache import ProbeCache
 from ..federation.federation import Federation
 from ..federation.request_handler import ElasticRequestHandler, Request
 from ..federation.source_selection import SourceSelector
@@ -98,7 +98,7 @@ class FedXEngine(BaseFederatedEngine):
     ):
         super().__init__(federation, pool_size)
         self.bind_join_block_size = max(1, bind_join_block_size)
-        self.ask_cache: Optional[AskCache] = AskCache() if use_cache else None
+        self.ask_cache: Optional[ProbeCache] = ProbeCache() if use_cache else None
 
     # ------------------------------------------------------------------
 

@@ -229,7 +229,6 @@ def run_resilience(
             **_run_one(
                 _build_federation(generator, straggler, with_replica=True),
                 query_text, partial_results=False, breaker=True,
-                hedge_requests=True,
                 hedge_threshold_seconds=HEDGE_THRESHOLD_SECONDS,
             ),
         })
@@ -255,7 +254,6 @@ def run_resilience(
                 _build_federation(generator, stall, with_replica=True),
                 query_text, partial_results=True, breaker=True,
                 deadline_seconds=DEADLINE_SECONDS,
-                hedge_requests=True,
                 hedge_threshold_seconds=HEDGE_THRESHOLD_SECONDS,
             ),
         })

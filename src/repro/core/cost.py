@@ -18,14 +18,14 @@ are *delayed* and later evaluated with bound VALUES blocks.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..rdf.term import Variable
 from ..rdf.triple import TriplePattern
 from ..sparql.ast import GroupPattern, count_query
 from ..sparql.expressions import Expression
 from ..sparql.serializer import serialize_query
-from ..federation.cache import CountCache, canonical_pattern_key
+from ..federation.cache import ProbeCache, canonical_pattern_key
 from ..federation.request_handler import (
     ElasticRequestHandler,
     Request,
@@ -76,21 +76,20 @@ def robust_mean_std(values: Sequence[float]) -> Tuple[float, float]:
 class CardinalityEstimator:
     """COUNT-probe based cardinality estimation with a persistent cache.
 
-    ``count_cache`` is either a :class:`~repro.federation.cache.CountCache`
-    (hit/miss accounting, shared across the queries of one engine
-    session) or any mapping keyed by ``(endpoint_id, probe key)``.
+    ``count_cache`` is the engine's session-wide
+    :class:`~repro.federation.cache.ProbeCache`; without one, the
+    estimator remembers only its own probes.
     """
 
     def __init__(
         self,
         handler: ElasticRequestHandler,
-        count_cache: Optional[Union[CountCache, Dict[Tuple[str, str], int]]] = None,
+        count_cache: Optional[ProbeCache] = None,
     ):
         self.handler = handler
-        #: (endpoint_id, canonical probe key) -> count
-        self.count_cache = count_cache if count_cache is not None else CountCache()
-        #: probes dispatched by :meth:`prefetch` but not yet awaited
-        self._inflight: Dict[Tuple[str, str], ResponseFuture] = {}
+        self.count_cache = count_cache if count_cache is not None else ProbeCache()
+        #: probes dispatched but not yet awaited, by cache key
+        self._inflight: Dict[Tuple[str, str, int], ResponseFuture] = {}
         #: one deadline trace/metric per estimator, however many probes
         #: the dry analysis budget ends up skipping
         self._budget_noted = False
@@ -100,12 +99,12 @@ class CardinalityEstimator:
     def _out_of_time(self) -> bool:
         """Whether the analysis slice of the query deadline ran dry."""
         context = self.handler.context
-        budget = getattr(context, "analysis_deadline", None)
+        budget = context.analysis_deadline
         return budget is not None and budget.expired(
             context.metrics.virtual_seconds
         )
 
-    def _note_budget_exhausted(self, stage: str) -> None:
+    def _note_budget_exhausted(self) -> None:
         if self._budget_noted:
             return
         self._budget_noted = True
@@ -113,7 +112,7 @@ class CardinalityEstimator:
         context.metrics.deadline_exceeded += 1
         context.trace_event(
             "deadline",
-            stage=stage,
+            stage="count_probes",
             expires_at=context.analysis_deadline.expires_at,
             fallback="worst-case cardinality",
         )
@@ -121,28 +120,27 @@ class CardinalityEstimator:
     # -- probes ----------------------------------------------------------
 
     @staticmethod
-    def _probe_key(
+    def _probe(
         pattern: TriplePattern, filters: Sequence[Expression]
-    ) -> str:
+    ) -> Tuple[List[Expression], str]:
+        """The filters ``pattern``'s COUNT probe can carry, and the
+        probe's cache key (invariant under variable renaming)."""
+        pushable = [
+            f for f in filters
+            if f.variables() <= pattern.variables()
+            and not f.contains_exists()
+        ]
         key = canonical_pattern_key(pattern)
-        if filters:
-            key += " || " + " && ".join(sorted(f.to_sparql() for f in filters))
-        return key
+        if pushable:
+            key += " || " + " && ".join(sorted(f.to_sparql() for f in pushable))
+        return pushable, key
 
-    def _cache_key(self, endpoint_id: str, key: str) -> Tuple[str, int, str]:
-        """Cache key with the endpoint's store version folded in, so a
-        mutated store never serves stale counts (same scheme as the
-        ASK/check caches)."""
-        federation = getattr(self.handler, "federation", None)
-        version = 0
-        if federation is not None and hasattr(federation, "endpoint_version"):
-            version = federation.endpoint_version(endpoint_id)
-        return (endpoint_id, version, key)
-
-    @staticmethod
-    def _parse_count(response) -> int:
-        result = response.value
-        return int(result.rows[0][0].lexical)  # type: ignore[union-attr]
+    def _cache_key(self, endpoint_id: str, key: str) -> Tuple[str, str, int]:
+        """``ProbeCache`` arguments with the endpoint's store version
+        folded in, so a mutated store never serves stale counts (same
+        scheme as the ASK/check caches)."""
+        version = self.handler.federation.endpoint_version(endpoint_id)
+        return (endpoint_id, key, version)
 
     def prefetch(
         self,
@@ -161,31 +159,47 @@ class CardinalityEstimator:
         settled by :meth:`drain`.  Returns the number dispatched.
         """
         if self._out_of_time():
-            self._note_budget_exhausted("count_probes")
+            self._note_budget_exhausted()
             return 0
         dispatched = 0
         for pattern in dict.fromkeys(patterns):
-            pushable = [
-                f for f in filters
-                if f.variables() <= pattern.variables()
-                and not f.contains_exists()
-            ]
-            key = self._probe_key(pattern, pushable)
-            text: Optional[str] = None
-            for endpoint_id in selection.get(pattern, ()):
-                cache_key = self._cache_key(endpoint_id, key)
-                if cache_key in self.count_cache or cache_key in self._inflight:
-                    continue
-                if text is None:
-                    group = GroupPattern(
-                        elements=[pattern], filters=list(pushable)
-                    )
-                    text = serialize_query(count_query(group))
-                self._inflight[cache_key] = self.handler.submit(
-                    Request(endpoint_id, text, kind="SELECT")
+            pushable, key = self._probe(pattern, filters)
+            wanted = [
+                cache_key
+                for cache_key in (
+                    self._cache_key(endpoint_id, key)
+                    for endpoint_id in selection.get(pattern, ())
                 )
-                dispatched += 1
+                if not self.count_cache.contains(*cache_key)
+                and cache_key not in self._inflight
+            ]
+            self._dispatch(pattern, pushable, wanted)
+            dispatched += len(wanted)
         return dispatched
+
+    def _dispatch(self, pattern: TriplePattern, pushable, cache_keys) -> None:
+        """Send ``pattern``'s COUNT probe to each keyed endpoint without
+        awaiting it — the one place a probe is submitted."""
+        if not cache_keys:
+            return
+        group = GroupPattern(elements=[pattern], filters=list(pushable))
+        text = serialize_query(count_query(group))
+        for cache_key in cache_keys:
+            self._inflight[cache_key] = self.handler.submit(
+                Request(cache_key[0], text, kind="SELECT")
+            )
+
+    def _settle(self, cache_key, future: ResponseFuture) -> Optional[int]:
+        """Await one probe; cache and return its count.  A failed probe
+        (partial mode) is simply not cached — the estimate degrades, the
+        query does not abort — and reads as ``None``."""
+        response, error = self.handler.settle(future)
+        if error is not None:
+            return None
+        count = int(response.value.rows[0][0].lexical)
+        endpoint_id, key, version = cache_key
+        self.count_cache.put(endpoint_id, key, count, version)
+        return count
 
     def drain(self) -> None:
         """Await and cache every still-outstanding prefetched probe, so
@@ -195,14 +209,23 @@ class CardinalityEstimator:
             if self._out_of_time():
                 # Abandon the rest: the handler's close() drain settles
                 # the futures, and the skipped answers are never cached.
-                self._note_budget_exhausted("count_probes")
+                self._note_budget_exhausted()
                 self._inflight.clear()
                 break
-            response, error = self.handler.settle(future)
-            # A failed probe (partial mode) is simply not cached — the
-            # estimate degrades, the query does not abort.
-            if error is None:
-                self.count_cache[cache_key] = self._parse_count(response)
+            self._settle(cache_key, future)
+
+    def _await(self, cache_key) -> int:
+        """The count behind one dispatched probe."""
+        future = self._inflight.pop(cache_key, None)
+        if future is None or self._out_of_time():
+            # Out of analysis budget: the probe was never sent, or is
+            # abandoned (close() drains the future).  Assume the worst;
+            # never cached — the next query probes for real.
+            self._note_budget_exhausted()
+            return WORST_CASE_CARDINALITY
+        # Partial mode: a down endpoint contributes no rows, so 0 is
+        # the honest (uncached) fallback estimate.
+        return self._settle(cache_key, future) or 0
 
     def pattern_cardinalities(
         self,
@@ -211,56 +234,25 @@ class CardinalityEstimator:
         filters: Sequence[Expression] = (),
     ) -> Dict[str, int]:
         """Triples matching ``pattern`` (with pushable filters) per source."""
-        pushable = [f for f in filters if f.variables() <= pattern.variables()
-                    and not f.contains_exists()]
-        key = self._probe_key(pattern, pushable)
+        pushable, key = self._probe(pattern, filters)
         counts: Dict[str, int] = {}
-        missing: List[str] = []
+        missing = []
         for endpoint_id in sources:
             cache_key = self._cache_key(endpoint_id, key)
-            cached = self.count_cache.get(cache_key)
+            cached = self.count_cache.get(*cache_key)
             if cached is not None:
                 counts[endpoint_id] = cached
                 self.handler.context.metrics.cache_hits += 1
-                continue
-            future = self._inflight.pop(cache_key, None)
-            if future is not None:
-                if self._out_of_time():
-                    # Out of analysis budget: abandon the probe (close()
-                    # drains the future) and assume the worst.  Never
-                    # cached — the next query probes for real.
-                    self._note_budget_exhausted("count_probes")
-                    counts[endpoint_id] = WORST_CASE_CARDINALITY
-                    continue
-                response, error = self.handler.settle(future)
-                if error is None:
-                    count = self._parse_count(response)
-                    counts[endpoint_id] = count
-                    self.count_cache[cache_key] = count
-                else:
-                    # Partial mode: a down endpoint contributes no rows,
-                    # so 0 is the honest (uncached) fallback estimate.
-                    counts[endpoint_id] = 0
+            elif cache_key in self._inflight:
+                counts[endpoint_id] = self._await(cache_key)
             else:
-                missing.append(endpoint_id)
-        if missing and self._out_of_time():
-            self._note_budget_exhausted("count_probes")
-            for endpoint_id in missing:
-                counts[endpoint_id] = WORST_CASE_CARDINALITY
-            return counts
-        if missing:
-            group = GroupPattern(elements=[pattern], filters=list(pushable))
-            text = serialize_query(count_query(group))
-            requests = [Request(eid, text, kind="SELECT") for eid in missing]
-            for probe_future in self.handler.submit_all(requests):
-                probe_endpoint = probe_future.request.endpoint_id
-                response, error = self.handler.settle(probe_future)
-                if error is None:
-                    count = self._parse_count(response)
-                    counts[probe_endpoint] = count
-                    self.count_cache[self._cache_key(probe_endpoint, key)] = count
-                else:
-                    counts[probe_endpoint] = 0
+                missing.append(cache_key)
+        # Never prefetched: dispatch now (budget permitting), then read
+        # back like any other in-flight probe.
+        if not self._out_of_time():
+            self._dispatch(pattern, pushable, missing)
+        for cache_key in missing:
+            counts[cache_key[0]] = self._await(cache_key)
         return counts
 
     # -- the paper's estimation rules ----------------------------------

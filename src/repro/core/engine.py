@@ -22,15 +22,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..endpoint.errors import FederationError
 from ..endpoint.metrics import CompletenessReport, ExecutionContext, Metrics
-from ..federation.cache import AskCache, CheckCache, CountCache
+from ..federation.cache import ProbeCache
 from ..federation.deadline import (
     DEFAULT_REQUEST_TIMEOUT_FRACTION,
-    AdmissionController,
     Deadline,
     LatencyTracker,
 )
 from ..federation.federation import Federation
-from ..federation.request_handler import ElasticRequestHandler
+from ..federation.request_handler import (
+    DEFAULT_BREAKER_THRESHOLD,
+    ElasticRequestHandler,
+)
 from ..federation.result_cache import ResultCache, subquery_cache_key
 from ..federation.routing import ReplicaRouter
 from ..federation.source_selection import SourceSelector
@@ -108,18 +110,11 @@ class LusailEngine:
         use_cache: bool = True,
         strict_checks: bool = False,
         values_block_size: int = 128,
-        join_threads: int = 4,
         use_threads: bool = False,
         max_retries: int = 2,
         partial_results: bool = False,
         breaker: bool = True,
-        breaker_threshold: int = 3,
-        breaker_cooldown_seconds: float = 1.0,
-        request_timeout_seconds: Optional[float] = None,
-        hedge_requests: bool = False,
         hedge_threshold_seconds: Optional[float] = None,
-        max_inflight: Optional[int] = None,
-        admission: Optional[AdmissionController] = None,
         result_cache: bool = True,
         reset_request_windows: bool = True,
     ):
@@ -130,7 +125,6 @@ class LusailEngine:
         self.use_cache = use_cache
         self.strict_checks = strict_checks
         self.values_block_size = values_block_size
-        self.join_threads = join_threads
         #: run request batches on a real thread pool (the paper's ERH);
         #: virtual-time accounting is identical either way
         self.use_threads = use_threads
@@ -139,27 +133,14 @@ class LusailEngine:
         #: degrade (drop a down endpoint's contribution, annotate the
         #: result with a completeness report) instead of aborting with RE
         self.partial_results = partial_results
-        #: per-endpoint circuit breaker: after ``breaker_threshold``
-        #: consecutive exhausted failures, fail fast until a virtual-time
-        #: cooldown (exponential, deterministically jittered) elapses
+        #: per-endpoint circuit breaker: after enough consecutive
+        #: exhausted failures, fail fast until a virtual-time cooldown
+        #: (exponential, deterministically jittered) elapses.  Threshold
+        #: and cooldown are the request handler's, not mirrored here.
         self.breaker = breaker
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
-        #: static per-request timeout; with a deadline but no explicit
-        #: value, one request may spend at most a fixed fraction of the
-        #: query budget (DEFAULT_REQUEST_TIMEOUT_FRACTION).  The handler
-        #: adapts it per endpoint once that endpoint's latency history
-        #: warms up.
-        self.request_timeout_seconds = request_timeout_seconds
-        #: race slow requests against registered replicas (tail-at-scale
-        #: hedging); ``hedge_threshold_seconds`` is the static trigger
-        self.hedge_requests = hedge_requests
+        #: race requests slower than this against registered replicas
+        #: (tail-at-scale hedging); ``None`` leaves hedging off
         self.hedge_threshold_seconds = hedge_threshold_seconds
-        #: request-level load shedding bound (see ElasticRequestHandler)
-        self.max_inflight = max_inflight
-        #: optional engine-level admission controller: execute() returns
-        #: a shed ``RE`` result instead of running when it is at capacity
-        self.admission = admission
         #: per-endpoint latency quantiles, shared across this engine's
         #: queries so adaptive timeouts and hedging warm up once
         self.latency_tracker = LatencyTracker()
@@ -169,11 +150,12 @@ class LusailEngine:
         #: :meth:`endpoint_stats`
         self._endpoint_health: Dict[str, Dict[str, object]] = {}
         self._endpoint_health_lock = threading.Lock()
-        self.ask_cache: Optional[AskCache] = AskCache() if use_cache else None
-        self.check_cache: Optional[CheckCache] = CheckCache() if use_cache else None
-        #: COUNT-probe cache shared across this engine's queries — the
-        #: cost model's analogue of the ASK/check caches (Fig. 12(b,c))
-        self.count_cache: Optional[CountCache] = CountCache() if use_cache else None
+        #: ASK / GJV-check / COUNT-probe answers shared across this
+        #: engine's queries (Fig. 12(b,c)); ``None`` with the cache knob
+        #: off, and each analysis then remembers only its own probes
+        self.ask_cache: Optional[ProbeCache] = ProbeCache() if use_cache else None
+        self.check_cache: Optional[ProbeCache] = ProbeCache() if use_cache else None
+        self.count_cache: Optional[ProbeCache] = ProbeCache() if use_cache else None
         #: subquery result cache shared across this engine's queries:
         #: (endpoint, store version, canonical subquery) -> relation.
         #: ``result_cache=False`` is the ablation knob; ``use_cache=False``
@@ -246,9 +228,8 @@ class LusailEngine:
         materialized executor and emit its result as a single batch, so
         callers never need two code paths.
 
-        The consumer must drain or ``close()`` the stream: the admission
-        slot and the run epilogue are released from the stream's own
-        ``finally``.
+        The consumer must drain or ``close()`` the stream: the run
+        epilogue runs from the stream's own ``finally``.
         """
         from .streaming import StreamingResult, is_streamable, start_stream
 
@@ -284,7 +265,6 @@ class LusailEngine:
         context = self.federation.make_context(
             timeout_seconds=timeout_seconds,
             max_intermediate_rows=max_intermediate_rows,
-            join_threads=self.join_threads,
             real_time_limit=real_time_limit,
             partial_results=partial_results,
             deadline=deadline,
@@ -295,24 +275,14 @@ class LusailEngine:
         return context
 
     def _prologue(self, query_text: str, *limits):
-        """Admission, context construction, parse — in that order.
+        """Context construction, then parse.
 
         Returns ``(context, query)`` for a query ready to run, or
-        ``(None, result)`` for one that already ended here: shed by
-        admission (before any context exists), or unparseable (reported
-        through the epilogue like any other failure).
+        ``(None, result)`` for an unparseable one, which already ended
+        here (reported through the epilogue like any other failure).
+        Admission is not the engine's business: servers put a
+        :class:`~repro.serving.sessions.QuerySessionManager` in front.
         """
-        if self.admission is not None and not self.admission.try_admit():
-            return None, QueryResult(
-                status="RE",
-                result=None,
-                metrics=Metrics(sheds=1),
-                error=(
-                    "query rejected: admission controller at capacity "
-                    f"({self.admission.max_concurrent} queries in flight)"
-                ),
-                completeness=CompletenessReport(),
-            )
         context = self._new_context(*limits)
         try:
             return context, parse_query(query_text)
@@ -323,7 +293,7 @@ class LusailEngine:
                 self._epilogue(context)
 
     def _materialize(self, query: Query, context: ExecutionContext) -> QueryResult:
-        """Run an admitted query to completion on the materialized
+        """Run a parsed query to completion on the materialized
         executor."""
         decomposition: List[Subquery] = []
         try:
@@ -387,14 +357,11 @@ class LusailEngine:
         )
 
     def _epilogue(self, context: ExecutionContext) -> None:
-        """What every admitted run owes the engine on the way out,
-        however it ended.  The assembled QueryResult holds this same
-        Metrics object, so the per-endpoint latency view lands on every
-        path."""
+        """What every run owes the engine on the way out, however it
+        ended.  The assembled QueryResult holds this same Metrics
+        object, so the per-endpoint latency view lands on every path."""
         context.metrics.endpoint_latency = self.latency_tracker.snapshot()
         self._fold_endpoint_health(context.metrics.endpoint_health)
-        if self.admission is not None:
-            self.admission.release()
 
     def _fold_endpoint_health(
         self, health: Dict[str, Dict[str, object]]
@@ -440,8 +407,11 @@ class LusailEngine:
         return stats
 
     def _make_handler(self, context: ExecutionContext) -> ElasticRequestHandler:
-        request_timeout = self.request_timeout_seconds
-        if request_timeout is None and context.deadline is not None:
+        # With a deadline, one request may spend at most a fixed
+        # fraction of the query budget; the handler adapts that per
+        # endpoint once the endpoint's latency history warms up.
+        request_timeout = None
+        if context.deadline is not None:
             request_timeout = (
                 context.deadline.budget_seconds
                 * DEFAULT_REQUEST_TIMEOUT_FRACTION
@@ -449,13 +419,12 @@ class LusailEngine:
         return ElasticRequestHandler(
             self.federation, context, self.pool_size,
             use_threads=self.use_threads, max_retries=self.max_retries,
-            breaker_threshold=self.breaker_threshold if self.breaker else None,
-            breaker_cooldown_seconds=self.breaker_cooldown_seconds,
+            breaker_threshold=(
+                DEFAULT_BREAKER_THRESHOLD if self.breaker else None
+            ),
             latency_tracker=self.latency_tracker,
             request_timeout_seconds=request_timeout,
-            hedge=self.hedge_requests,
             hedge_threshold_seconds=self.hedge_threshold_seconds,
-            max_inflight=self.max_inflight,
         )
 
     def _make_evaluator(
@@ -557,10 +526,7 @@ class LusailEngine:
                 check_cache=self.check_cache,
                 strict_checks=self.strict_checks,
             )
-            estimator = CardinalityEstimator(
-                handler,
-                self.count_cache if self.count_cache is not None else {},
-            )
+            estimator = CardinalityEstimator(handler, self.count_cache)
             # Overlap the GJV check queries with the cost model's COUNT
             # probes in one scheduler window (Figure 3's ERH never runs
             # analysis as two back-to-back barriers).  Prefetch only
@@ -831,10 +797,7 @@ class LusailEngine:
         if self.enable_sape and (
             multiple_units or any(sq.optional for sq in subqueries)
         ):
-            estimator = CardinalityEstimator(
-                handler,
-                self.count_cache if self.count_cache is not None else {},
-            )
+            estimator = CardinalityEstimator(handler, self.count_cache)
             estimator.estimate_all(subqueries)
             classify_delayed(subqueries, self.delay_threshold)
             self._delay_against_values(subqueries, values_blocks)
@@ -929,7 +892,9 @@ class LusailEngine:
             for name, result in relations.items()
         ]
         if self.enable_sape:
-            plan = plan_join_order(relation_objects, threads=self.join_threads)
+            plan = plan_join_order(
+                relation_objects, threads=context.join_threads
+            )
             order = plan.order
         else:
             order = [r.name for r in relation_objects]

@@ -24,7 +24,7 @@ from ..rdf.triple import TriplePattern
 from ..sparql.ast import GroupPattern, Query
 from ..sparql.expressions import ExistsExpr
 from ..sparql.serializer import serialize_query
-from ..federation.cache import CheckCache
+from ..federation.cache import ProbeCache, check_signature
 from ..federation.request_handler import (
     ElasticRequestHandler,
     Request,
@@ -88,7 +88,7 @@ class _CheckQuery:
         return serialize_query(query)
 
     def cache_signature(self) -> str:
-        return CheckCache.signature(self.outer, self.inner, self.type_constraint)
+        return check_signature(self.outer, self.inner, self.type_constraint)
 
 
 def _rename_other_variables(
@@ -122,7 +122,7 @@ class GJVDetector:
         self,
         handler: ElasticRequestHandler,
         source_selection: Dict[TriplePattern, Tuple[str, ...]],
-        check_cache: Optional[CheckCache] = None,
+        check_cache: Optional[ProbeCache] = None,
         strict_checks: bool = False,
     ):
         self.handler = handler

@@ -487,24 +487,22 @@ class SubqueryEvaluator:
         """Settle a submitted wave of ``(subquery, endpoint order,
         contributions)`` into one combined relation per subquery.
 
-        Cache-served pieces are collected before anything is awaited and
-        the in-flight ones settle in submission order, so the pieces of
-        one endpoint (several under VALUES blocks) and the endpoints of
-        one subquery always union in the same order.
+        In-flight pieces settle in submission order (cache-served ones
+        have nothing to await) and every piece unions at its *requested*
+        position, so the pieces of one endpoint (several under VALUES
+        blocks) and the endpoints of one subquery always union in the
+        same order — whichever of them another query happened to cache
+        in the meantime.
         """
-        gathered: List[Dict[str, List[ResultSet]]] = [
-            {endpoint_id: [] for endpoint_id in order} for _, order, _ in wave
-        ]
-        for in_flight in (False, True):
-            for (_, _, contributions), per_endpoint in zip(wave, gathered):
-                for contribution in contributions:
-                    if (
-                        (contribution.future is not None) is in_flight
-                        and self.dispatcher.settle(contribution)
-                    ):
-                        per_endpoint.setdefault(
-                            contribution.endpoint_id, []
-                        ).append(contribution.value)
+        gathered: List[Dict[str, List[ResultSet]]] = []
+        for _, order, contributions in wave:
+            per_endpoint = {endpoint_id: [] for endpoint_id in order}
+            for contribution in contributions:
+                if self.dispatcher.settle(contribution):
+                    per_endpoint.setdefault(
+                        contribution.endpoint_id, []
+                    ).append(contribution.value)
+            gathered.append(per_endpoint)
         for (subquery, _, _), per_endpoint in zip(wave, gathered):
             result = self.combine_endpoint_results(subquery, {
                 endpoint_id: (

@@ -148,11 +148,11 @@ class StreamingResult:
 def start_stream(
     engine: LusailEngine, query: Query, context: ExecutionContext
 ) -> StreamingResult:
-    """Build the lazy streaming run for an admitted, streamable query.
+    """Build the lazy streaming run for a parsed, streamable query.
 
     Nothing executes until the stream is first iterated; the producer's
-    ``finally`` runs the engine's epilogue (admission slot, metrics
-    rollups), so consumers must drain or ``close()`` the stream.
+    ``finally`` runs the engine's epilogue (metrics rollups), so
+    consumers must drain or ``close()`` the stream.
     """
     holder = StreamingResult()
     run = _StreamingRun(engine, query, context)
@@ -405,7 +405,7 @@ class _StreamingRun:
                 )
                 for state in self.states
             ]
-            plan = plan_join_order(relations, threads=self.engine.join_threads)
+            plan = plan_join_order(relations, threads=self.context.join_threads)
             self.order = list(plan.order)
         else:
             self.order = [state.name for state in self.states]

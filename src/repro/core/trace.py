@@ -177,14 +177,6 @@ def _render_hedge(event: TraceEvent) -> str:
             f"{event.detail['hedged_cost']:.3f}s)")
 
 
-@_renders("shed")
-def _render_shed(event: TraceEvent) -> str:
-    return (f"load shed: refused a "
-            f"{event.detail.get('request_kind', 'request')} to "
-            f"{event.detail['endpoint']} ({event.detail['pending']} "
-            f"in flight, limit {event.detail['limit']})")
-
-
 @_renders("subquery_degraded")
 def _render_subquery_degraded(event: TraceEvent) -> str:
     return (f"subquery {event.detail['label']} DEGRADED: dropped the "

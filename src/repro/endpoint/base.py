@@ -34,11 +34,6 @@ class EndpointResponse:
     #: prediction (injected latency spikes — see
     #: :class:`repro.endpoint.faults.FaultProfile`)
     latency_penalty_seconds: float = 0.0
-    #: real wall-clock seconds the request took, reported by endpoints
-    #: whose class sets ``wall_clock = True`` (remote HTTP endpoints).
-    #: ``None`` means the request is costed by the virtual-time
-    #: :class:`~repro.endpoint.network.NetworkModel` instead.
-    elapsed_seconds: Optional[float] = None
     #: the endpoint itself reported its answer as incomplete (a remote
     #: server returned ``X-Lusail-Status: PARTIAL`` or a truncated-tail
     #: document) — folded into the query's CompletenessReport.
@@ -51,8 +46,16 @@ class SPARQLEndpoint(Protocol):
     endpoint_id: str
     region: Region
 
-    def execute(self, query_text: str) -> EndpointResponse:
-        """Run SPARQL text; ASK yields bool, SELECT yields a ResultSet."""
+    def execute(
+        self, query_text: str, timeout_seconds: Optional[float] = None
+    ) -> EndpointResponse:
+        """Run SPARQL text; ASK yields bool, SELECT yields a ResultSet.
+
+        ``timeout_seconds`` is the caller's wall budget for this attempt.
+        Endpoints whose class sets ``wall_clock = True`` are *measured*
+        by the request handler and enforce it at their sockets;
+        simulated ones are costed by the network model, censored on the
+        virtual timeline, and ignore it."""
         ...
 
     def triple_count(self) -> int:

@@ -16,15 +16,14 @@ would conflate transport with semantics: a served engine applies SELECT
 ``DISTINCT`` set semantics at its own boundary, the bare evaluator does
 not.)
 
-Like the remote client, this endpoint is wall-clock: it reports real
-elapsed seconds rather than deferring to the virtual network model, so
+Like the remote client, this endpoint is wall-clock: the request handler
+measures it rather than deferring to the virtual network model, so
 schedulers treat both comparands the same way.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from typing import Optional
 
 from .base import EndpointResponse
@@ -50,9 +49,7 @@ class EngineEndpoint:
         # client never forwards it to the server either, so the wrapped
         # engine runs exactly as a served one would.
         del timeout_seconds
-        started = time.monotonic()
         outcome = self.engine.execute(query_text)
-        elapsed = time.monotonic() - started
         if outcome.status not in ("OK", "PARTIAL"):
             raise EndpointProtocolError(
                 self.endpoint_id,
@@ -63,7 +60,6 @@ class EngineEndpoint:
                 value=outcome.boolean,
                 rows_touched=1,
                 bytes_received=32,
-                elapsed_seconds=elapsed,
                 partial=outcome.status == "PARTIAL",
             )
         result = outcome.result
@@ -76,7 +72,6 @@ class EngineEndpoint:
             value=result,
             rows_touched=len(result.rows),
             bytes_received=len(body),
-            elapsed_seconds=elapsed,
             partial=outcome.status == "PARTIAL",
         )
 

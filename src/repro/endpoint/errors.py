@@ -40,6 +40,12 @@ class EndpointUnavailableError(FederationError):
     """
 
     status = "RE"
+    #: ``False`` marks a failure a retransmission would only repeat; the
+    #: request handler then skips its retry loop
+    retryable = True
+    #: pause the server asked for before a retry (``Retry-After``); a
+    #: floor under the request handler's own backoff
+    retry_after = 0.0
 
     def __init__(self, endpoint_id: str):
         super().__init__(f"endpoint {endpoint_id!r} did not answer")
@@ -95,13 +101,12 @@ class RequestTimeoutError(EndpointUnavailableError):
 
 
 class QueryRejectedError(EndpointUnavailableError):
-    """Admission control shed this work (queue full / over capacity).
+    """This work was refused up front, without contacting anything.
 
-    Raised without contacting anything: either the request handler's
-    bounded in-flight queue was full, or the engine-level
-    :class:`~repro.federation.deadline.AdmissionController` refused the
-    whole query.  Load shedding is free by construction — nothing was
-    sent, nothing is charged.
+    A request handler that is already closed parks this on late
+    submissions.  (Whole-query admission is the serving layer's
+    ``QuerySessionManager``.)  Shedding is free by construction —
+    nothing was sent, nothing is charged.
     """
 
     def __init__(self, scope: str, reason: str):

@@ -89,7 +89,11 @@ class LocalEndpoint:
             if self.faults is not None:
                 self.faults.reset_window()
 
-    def execute(self, query_text: str) -> EndpointResponse:
+    def execute(
+        self, query_text: str, timeout_seconds: Optional[float] = None
+    ) -> EndpointResponse:
+        """``timeout_seconds`` is ignored: a simulated endpoint's cost
+        is censored on the virtual timeline, not at a socket."""
         with self._lock:
             return self._execute_locked(query_text)
 

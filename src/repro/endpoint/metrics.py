@@ -134,7 +134,7 @@ class Metrics:
     hedges_launched: int = 0
     #: hedged requests where the replica answered first
     hedges_won: int = 0
-    #: requests (or whole queries) shed by admission control
+    #: requests refused up front (submitted to a closed handler)
     sheds: int = 0
     #: in-flight requests abandoned — hedge losers plus futures drained
     #: unresolved at close(); their endpoints did the work for nothing

@@ -11,8 +11,8 @@ miniature, with actual sockets in the loop.
 
 Unlike :class:`~repro.endpoint.local.LocalEndpoint`, whose cost is
 simulated on the virtual timeline, this endpoint is **wall-clock**
-(``wall_clock = True``): every response reports real elapsed seconds,
-and the request handler charges those instead of asking the
+(``wall_clock = True``): the request handler times every attempt
+itself and charges those real seconds instead of asking the
 :class:`~repro.endpoint.network.NetworkModel`.
 
 Hardening against the wire (the whole point — see the failure-mode
@@ -200,7 +200,6 @@ class RemoteEndpoint:
         if timeout_seconds is not None:
             budget = max(1e-3, min(budget, timeout_seconds))
         deadline = time.monotonic() + budget
-        started = time.monotonic()
         with self._lock:
             self._stats["requests"] += 1
         attempt = 0
@@ -208,7 +207,7 @@ class RemoteEndpoint:
             attempt += 1
             pooled = self._acquire()
             try:
-                return self._exchange(pooled, query_text, deadline, started)
+                return self._exchange(pooled, query_text, deadline)
             except _StaleConnection:
                 # A reused keep-alive connection died with zero response
                 # bytes read: the server closed it between our requests.
@@ -240,14 +239,12 @@ class RemoteEndpoint:
         pooled: _PooledConnection,
         query_text: str,
         deadline: float,
-        started: float,
     ) -> EndpointResponse:
         conn = pooled.conn
         headers = {"Accept": SPARQL_RESULTS_JSON, "User-Agent": "repro-lusail"}
         if self._api_key:
             headers["X-API-Key"] = self._api_key
         encoded = urlencode({"query": query_text})
-        elapsed = lambda: time.monotonic() - started  # noqa: E731
         try:
             conn.timeout = max(1e-3, min(
                 self.connect_timeout, deadline - time.monotonic()
@@ -290,7 +287,7 @@ class RemoteEndpoint:
             ) from error
         body, truncated_kind = self._read_body(conn, response, deadline)
         reusable = not truncated_kind and not response.will_close
-        outcome = self._classify(response, body, truncated_kind, elapsed())
+        outcome = self._classify(response, body, truncated_kind)
         self._release(pooled, reusable=reusable)
         return outcome
 
@@ -341,7 +338,6 @@ class RemoteEndpoint:
         response: http.client.HTTPResponse,
         body: bytes,
         truncated_kind: Optional[str],
-        elapsed_seconds: float,
     ) -> EndpointResponse:
         status = response.status
         if status in (429, 503):
@@ -407,7 +403,6 @@ class RemoteEndpoint:
             value=value,
             rows_touched=rows,
             bytes_received=len(body),
-            elapsed_seconds=elapsed_seconds,
             partial=partial,
         )
 

@@ -1,6 +1,6 @@
 """Federation plumbing: endpoint registry, ERH, source selection, caches."""
 
-from .cache import AskCache, CheckCache, CountCache, canonical_pattern_key
+from .cache import ProbeCache, canonical_pattern_key, check_signature
 from .deadline import AdmissionController, Deadline, LatencyTracker
 from .federation import DEFAULT_CLIENT_REGION, Federation
 from .request_handler import (
@@ -19,15 +19,13 @@ from .source_selection import SourceSelector, ask_query_text
 
 __all__ = [
     "AdmissionController",
-    "AskCache",
-    "CheckCache",
-    "CountCache",
     "DEFAULT_CLIENT_REGION",
     "Deadline",
     "ElasticRequestHandler",
     "FragmentDescriptor",
     "LatencyTracker",
     "Federation",
+    "ProbeCache",
     "ReplicaRouter",
     "Request",
     "Response",
@@ -37,5 +35,6 @@ __all__ = [
     "ask_query_text",
     "canonical_pattern_key",
     "canonical_subquery_key",
+    "check_signature",
     "subquery_cache_key",
 ]

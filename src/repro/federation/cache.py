@@ -4,7 +4,7 @@ The paper: "Lusail caches the results of both the source selection phase
 and the check queries" (Section 2).  Cache keys canonicalize variable
 names so structurally identical patterns from different queries hit.
 
-Every cache here additionally keys by the endpoint store's ``version``
+Every entry additionally keys by the endpoint store's ``version``
 counter (see :attr:`repro.store.triplestore.TripleStore.version`), the
 same mechanism the endpoint plan cache uses: mutating a store bumps the
 version, so stale ASK/COUNT/check answers become unreachable instead of
@@ -16,7 +16,7 @@ namespace.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..rdf.term import Variable
 from ..rdf.triple import TriplePattern
@@ -35,129 +35,57 @@ def canonical_pattern_key(pattern: TriplePattern) -> str:
     return " ".join(parts)
 
 
-class AskCache:
-    """Caches per-endpoint ASK answers keyed by canonical pattern.
+def check_signature(
+    pattern_i: TriplePattern,
+    pattern_j: TriplePattern,
+    type_constraint: Optional[TriplePattern],
+) -> str:
+    """Key of one GJV check: the ordered pattern pair (plus the type
+    constraint narrowing it), invariant under variable renaming."""
+    parts = [canonical_pattern_key(pattern_i), canonical_pattern_key(pattern_j)]
+    if type_constraint is not None:
+        parts.append(canonical_pattern_key(type_constraint))
+    return " | ".join(parts)
+
+
+class ProbeCache:
+    """What one endpoint answered one analysis probe, at one store version.
+
+    Key: ``(endpoint id, store version, canonical probe key)``.  The
+    engine keeps three instances, one per probe kind: ASK answers keyed
+    by :func:`canonical_pattern_key` (source selection), GJV check
+    outcomes keyed by :func:`check_signature` (``True`` = the endpoint
+    has witnesses making the variable global for that pair), and COUNT
+    results keyed by the cardinality estimator's pattern-plus-filters
+    key (the Fig. 12(b,c) cache knob).  Because keys are canonical,
+    structurally identical probes from *different queries* hit.
 
     Engine-lifetime and shared across concurrent queries (the serving
     layer); the lock keeps the hit/miss counters exact under threads.
     """
 
     def __init__(self):
-        self._entries: Dict[Tuple[str, int, str], bool] = {}
+        self._entries: Dict[Tuple[str, int, str], Any] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(
-        self, endpoint_id: str, pattern: TriplePattern, version: int = 0
-    ) -> Optional[bool]:
+    def get(self, endpoint_id: str, key: str, version: int = 0) -> Optional[Any]:
         with self._lock:
-            value = self._entries.get(
-                (endpoint_id, version, canonical_pattern_key(pattern))
-            )
+            value = self._entries.get((endpoint_id, version, key))
             if value is None:
                 self.misses += 1
             else:
                 self.hits += 1
             return value
 
-    def put(
-        self,
-        endpoint_id: str,
-        pattern: TriplePattern,
-        answer: bool,
-        version: int = 0,
-    ) -> None:
-        key = (endpoint_id, version, canonical_pattern_key(pattern))
+    def put(self, endpoint_id: str, key: str, value: Any, version: int = 0) -> None:
         with self._lock:
-            self._entries[key] = answer
+            self._entries[(endpoint_id, version, key)] = value
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class CountCache:
-    """Caches the cost model's per-triple-pattern COUNT probe results.
-
-    Key: ``(endpoint id, store version, canonical probe key)`` — the
-    probe key is the variable-renaming-invariant pattern signature plus
-    any pushed-down filters, as produced by the cardinality estimator,
-    and the version component invalidates counts when the endpoint's
-    store mutates.  Because keys are canonical, structurally identical
-    probes from *different queries in one session* hit, exactly like the
-    ASK/check caches (the Fig. 12(b,c) cache knob).  The interface is a
-    drop-in superset of the plain dict the estimator historically
-    accepted.
-    """
-
-    def __init__(self):
-        self._entries: Dict[Tuple, int] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple, default: Optional[int] = None) -> Optional[int]:
-        with self._lock:
-            value = self._entries.get(key, default)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
-    def __setitem__(self, key: Tuple, count: int) -> None:
-        with self._lock:
-            self._entries[key] = count
-
-    def __contains__(self, key: Tuple) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class CheckCache:
-    """Caches GJV check outcomes.
-
-    Key: (endpoint id, store version, canonical signature of the
-    ordered pattern pair).  Value: ``True`` when the endpoint has
-    witnesses making the variable global for that pair (i.e. the check
-    query returned a row).
-    """
-
-    def __init__(self):
-        self._entries: Dict[Tuple[str, int, str], bool] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def signature(
-        pattern_i: TriplePattern,
-        pattern_j: TriplePattern,
-        type_constraint: Optional[TriplePattern],
-    ) -> str:
-        parts = [canonical_pattern_key(pattern_i), canonical_pattern_key(pattern_j)]
-        if type_constraint is not None:
-            parts.append(canonical_pattern_key(type_constraint))
-        return " | ".join(parts)
-
-    def get(
-        self, endpoint_id: str, signature: str, version: int = 0
-    ) -> Optional[bool]:
-        with self._lock:
-            value = self._entries.get((endpoint_id, version, signature))
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
-    def put(
-        self, endpoint_id: str, signature: str, is_global: bool, version: int = 0
-    ) -> None:
-        with self._lock:
-            self._entries[(endpoint_id, version, signature)] = is_global
+    def contains(self, endpoint_id: str, key: str, version: int = 0) -> bool:
+        """Membership without touching the hit/miss counters."""
+        return (endpoint_id, version, key) in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)

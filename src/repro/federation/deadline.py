@@ -14,9 +14,10 @@ deadline-aware execution stack is built from:
   The request handler derives **adaptive per-request timeouts** from a
   warm endpoint's p95×k and uses the p95 as the hedging trigger.
 - :class:`AdmissionController` — bounded concurrent-query admission
-  with load shedding (:class:`~repro.endpoint.errors.QueryRejectedError`),
-  so an overloaded federator rejects work it could not finish in time
-  instead of queueing it into everyone else's deadline.
+  with load shedding, the bookkeeping under the serving layer's
+  ``QuerySessionManager``: an overloaded federator rejects work it
+  could not finish in time instead of queueing it into everyone else's
+  deadline.
 
 Everything here is virtual-time / arithmetic only — no wall clocks, no
 threads beyond a lock — so simulated and threaded runs stay bit-identical.
@@ -250,11 +251,10 @@ class LatencyTracker:
 class AdmissionController:
     """Bounded concurrent-query admission with load shedding.
 
-    An engine (or a pool of engines sharing one controller) admits at
-    most ``max_concurrent`` queries at a time; anything beyond that is
-    rejected up front — an overloaded federator that queued the work
+    A session manager admits at most ``max_concurrent`` queries at a
+    time; anything beyond that is rejected up front — an overloaded federator that queued the work
     instead would blow *every* caller's deadline, not just the shed
-    one's.  Thread-safe so engines on different threads can share it.
+    one's.  Thread-safe: HTTP worker threads share one.
     """
 
     def __init__(self, max_concurrent: int = 8):

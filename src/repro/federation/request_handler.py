@@ -45,8 +45,14 @@ agree bit for bit:
   time provably never exceeds ``deadline + one request timeout``;
   requests submitted past expiry fail fast for free.
 
-``max_inflight`` adds load shedding: submissions beyond the bounded
-in-flight queue fail fast with :class:`QueryRejectedError`.
+**One request path, two clocks.**  Simulated endpoints are costed by
+the network model; socket-backed ones (``wall_clock = True``) are
+measured.  Both go through the same attempt loop (:meth:`_perform`): a
+per-request attempt clock, picked once from the endpoint, says what an
+attempt cost, how a backoff is spent and whether the per-request budget
+binds up front.  The only thing scheduling ever asks of an answer is
+whether its cost was measured — a measured answer is never re-censored
+or raced post hoc against a replica.
 
 With ``use_threads=True`` submissions additionally run on a real
 :class:`~concurrent.futures.ThreadPoolExecutor` (the paper's setup);
@@ -75,6 +81,7 @@ from collections import deque
 from concurrent.futures import Future as _ThreadFuture
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..endpoint.errors import (
@@ -88,6 +95,12 @@ from ..endpoint.metrics import ExecutionContext
 from ..sparql.results import ResultSet
 from .deadline import LatencyTracker
 from .federation import Federation
+
+
+#: consecutive exhausted failures that open an endpoint's breaker where
+#: one is wanted (a bare handler runs without; the engine's ``breaker``
+#: knob asks for this)
+DEFAULT_BREAKER_THRESHOLD = 3
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,81 @@ def _jitter_fraction(*parts: object) -> float:
     is stable across processes (built-in str hashing is randomized)."""
     key = "|".join(str(part) for part in parts)
     return (zlib.crc32(key.encode("utf-8")) % 997) / 997.0
+
+
+class _ModeledAttempts:
+    """Attempt clock of a simulated endpoint: the network model prices
+    every round trip, backoffs are charged rather than waited out, and
+    nothing is enforced up front — the scheduler censors a modeled cost
+    against the timeout and the deadline when it places the request."""
+
+    measured = False
+
+    def __init__(self, context: ExecutionContext, region, bytes_sent: int):
+        self._round_trip = partial(
+            context.network.request_cost,
+            client=context.client_region,
+            endpoint=region,
+            bytes_sent=bytes_sent,
+        )
+        self._spent = 0.0
+
+    def budget(self) -> Optional[float]:
+        return None
+
+    def affords(self, wait: float) -> bool:
+        return True
+
+    def failed(self, wait: float, retrying: bool) -> float:
+        # The backoff is charged with the failure it follows, last one
+        # included: an exhausted request holds its lane through it.
+        self._spent += wait
+        self._spent += self._round_trip(bytes_received=0, rows_touched=1)
+        return self._spent
+
+    def answered(self, response) -> float:
+        return (
+            self._spent
+            + self._round_trip(
+                bytes_received=response.bytes_received,
+                rows_touched=response.rows_touched,
+            )
+            + response.latency_penalty_seconds
+        )
+
+
+class _MeasuredAttempts:
+    """Attempt clock of a socket-backed endpoint: cost is what
+    ``time.monotonic()`` saw.  The per-request timeout is enforced *by
+    the endpoint's sockets* and bounds the whole retry loop: every
+    attempt gets what is left of it, backoffs are real sleeps, and a
+    retry whose backoff would not fit is not attempted."""
+
+    measured = True
+
+    def __init__(self, timeout: Optional[float]):
+        self._timeout = timeout
+        self._started = time.monotonic()
+
+    def _elapsed(self) -> float:
+        return time.monotonic() - self._started
+
+    def budget(self) -> Optional[float]:
+        if self._timeout is None:
+            return None
+        return max(1e-3, self._timeout - self._elapsed())
+
+    def affords(self, wait: float) -> bool:
+        return self._timeout is None or self._elapsed() + wait < self._timeout
+
+    def failed(self, wait: float, retrying: bool) -> float:
+        spent = self._elapsed()
+        if retrying:
+            time.sleep(wait)
+        return spent
+
+    def answered(self, response) -> float:
+        return self._elapsed()
 
 
 class _EndpointHealth:
@@ -214,9 +302,7 @@ class ElasticRequestHandler:
         adaptive_timeout_multiplier: Optional[float] = 4.0,
         timeout_floor_seconds: float = 0.05,
         timeout_warmup: int = 8,
-        hedge: bool = False,
         hedge_threshold_seconds: Optional[float] = None,
-        max_inflight: Optional[int] = None,
     ):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -237,16 +323,12 @@ class ElasticRequestHandler:
         self.timeout_floor_seconds = timeout_floor_seconds
         #: observations an endpoint needs before its p95 is trusted
         self.timeout_warmup = max(1, timeout_warmup)
-        #: race slow requests against the endpoint's registered replica
-        self.hedge = hedge
-        #: static hedging trigger; the effective trigger is the smaller
-        #: of this and the endpoint's warm p95 (a steady straggler's own
-        #: p95 is high — the floor keeps hedging armed against it)
+        #: static hedging trigger, and the switch: slow requests are
+        #: raced against the endpoint's registered replica iff this is
+        #: set.  The effective trigger is the smaller of this and the
+        #: endpoint's warm p95 (a steady straggler's own p95 is high —
+        #: the floor keeps hedging armed against it)
         self.hedge_threshold_seconds = hedge_threshold_seconds
-        #: bound on submitted-but-unresolved requests; beyond it new
-        #: submissions are shed with QueryRejectedError (admission
-        #: control at the request level); None = unbounded
-        self.max_inflight = max_inflight
         #: futures drained unresolved by close() — work abandoned
         #: mid-flight whose answers nobody read
         self.cancelled = 0
@@ -303,9 +385,8 @@ class ElasticRequestHandler:
                 abandoned = len(self._pending)
                 while self._pending:
                     self._schedule_next()
-                if abandoned:
-                    self.cancelled += abandoned
-                    self.context.metrics.requests_cancelled += abandoned
+                self.cancelled += abandoned
+                self.context.metrics.requests_cancelled += abandoned
                 health = self.health_snapshot()
                 if health:
                     self.context.metrics.endpoint_health = health
@@ -379,135 +460,61 @@ class ElasticRequestHandler:
         """Run one request; returns (response, bytes_sent, bytes_received).
 
         Transient :class:`EndpointUnavailableError` failures are retried
-        up to ``max_retries`` times, each failed attempt adding a round
-        trip plus an exponentially growing, deterministically jittered
-        backoff to the request's virtual cost.  When the budget is
-        exhausted, the raised error carries the accumulated virtual cost
-        and attempt/byte counts so the scheduler can charge the failure
-        honestly.  No shared state is mutated here, so this is safe to
-        call from worker threads; accounting happens in the caller.
+        up to ``max_retries`` times behind an exponentially growing,
+        deterministically jittered backoff (the server's ``Retry-After``
+        is a floor).  A retry is not attempted when the error is marked
+        ``retryable=False`` (a protocol violation a retransmission would
+        only repeat), when the endpoint *refused* (rate limit — it
+        answered, so there is nothing to back off from), or when the
+        attempt clock cannot afford the backoff.  The error that ends
+        the loop carries the accumulated cost and attempt/byte counts so
+        the scheduler can charge the failure honestly.  No shared state
+        is mutated here, so this is safe to call from worker threads;
+        accounting happens in the caller.
 
-        ``timeout`` (the future's frozen per-request timeout) only
-        matters for wall-clock endpoints, where it becomes the real
-        socket budget; virtual endpoints are censored retroactively at
-        scheduling time instead.
+        ``timeout`` is the future's frozen per-request timeout.  What it
+        means is the attempt clock's business: a measured endpoint gets
+        it as the real socket budget for the whole loop, a modeled one
+        is censored retroactively at scheduling time instead.
         """
         endpoint = self.federation.endpoint(request.endpoint_id)
+        bytes_sent = len(request.query_text)
         if getattr(endpoint, "wall_clock", False):
-            return self._perform_wall_clock(endpoint, request, timeout)
-        bytes_sent = len(request.query_text)
-        penalty = 0.0
+            clock = _MeasuredAttempts(timeout)
+        else:
+            clock = _ModeledAttempts(self.context, endpoint.region, bytes_sent)
         for attempt in range(self.max_retries + 1):
-            try:
-                response = endpoint.execute(request.query_text)
-                break
-            except EndpointUnavailableError as error:
-                penalty += self._retry_backoff(request, attempt)
-                penalty += self.context.network.request_cost(
-                    client=self.context.client_region,
-                    endpoint=endpoint.region,
-                    bytes_sent=bytes_sent,
-                    bytes_received=0,
-                    rows_touched=1,
-                )
-                if attempt == self.max_retries:
-                    error.virtual_cost = penalty
-                    error.failed_attempts = attempt + 1
-                    error.bytes_sent_total = bytes_sent * (attempt + 1)
-                    raise
-            except EndpointRateLimitError as error:
-                # The endpoint answered — with a refusal; charge the
-                # attempted round trips up to and including this one.
-                penalty += self.context.network.request_cost(
-                    client=self.context.client_region,
-                    endpoint=endpoint.region,
-                    bytes_sent=bytes_sent,
-                    bytes_received=0,
-                    rows_touched=1,
-                )
-                error.virtual_cost = penalty
-                error.failed_attempts = attempt + 1
-                error.bytes_sent_total = bytes_sent * (attempt + 1)
-                raise
-        cost = penalty + self.context.network.request_cost(
-            client=self.context.client_region,
-            endpoint=endpoint.region,
-            bytes_sent=bytes_sent,
-            bytes_received=response.bytes_received,
-            rows_touched=response.rows_touched,
-        ) + getattr(response, "latency_penalty_seconds", 0.0)
-        return (
-            Response(
-                request=request,
-                value=response.value,
-                cost_seconds=cost,
-                compute=getattr(response, "compute", None),
-                failed_attempts=attempt,
-            ),
-            bytes_sent,
-            response.bytes_received,
-        )
-
-    def _perform_wall_clock(
-        self, endpoint, request: Request, timeout: Optional[float]
-    ) -> Tuple[Response, int, int]:
-        """One request against a real endpoint; cost is measured.
-
-        The per-request timeout is enforced *by the endpoint's sockets*
-        (connect + bounded read slices), not reconstructed afterwards,
-        and it bounds the whole retry loop: backoffs are real sleeps
-        honoring the server's ``Retry-After`` as a floor, and a retry
-        that cannot finish inside the remaining budget is not attempted.
-        Errors marked ``retryable=False`` (protocol violations that a
-        retransmission would only repeat) skip the retry loop entirely.
-        """
-        bytes_sent = len(request.query_text)
-        started = time.monotonic()
-        for attempt in range(self.max_retries + 1):
-            attempt_timeout = timeout
-            if timeout is not None:
-                attempt_timeout = max(
-                    1e-3, timeout - (time.monotonic() - started)
-                )
             try:
                 response = endpoint.execute(
-                    request.query_text, timeout_seconds=attempt_timeout
+                    request.query_text, timeout_seconds=clock.budget()
                 )
                 break
-            except EndpointRateLimitError as error:
-                error.virtual_cost = time.monotonic() - started
-                error.failed_attempts = attempt + 1
-                error.bytes_sent_total = bytes_sent * (attempt + 1)
-                raise
-            except EndpointUnavailableError as error:
-                wait = max(
-                    self._retry_backoff(request, attempt),
-                    getattr(error, "retry_after", 0.0),
+            except (EndpointUnavailableError, EndpointRateLimitError) as error:
+                refused = isinstance(error, EndpointRateLimitError)
+                wait = 0.0 if refused else max(
+                    self._retry_backoff(request, attempt), error.retry_after
                 )
-                exhausted = (
-                    attempt == self.max_retries
-                    or getattr(error, "retryable", True) is False
-                    or (
-                        timeout is not None
-                        and time.monotonic() - started + wait >= timeout
-                    )
+                retrying = not (
+                    refused
+                    or attempt == self.max_retries
+                    or not error.retryable
+                    or not clock.affords(wait)
                 )
-                if exhausted:
-                    error.virtual_cost = time.monotonic() - started
+                spent = clock.failed(wait, retrying)
+                if not retrying:
+                    error.virtual_cost = spent
                     error.failed_attempts = attempt + 1
                     error.bytes_sent_total = bytes_sent * (attempt + 1)
                     raise
-                time.sleep(wait)
-        elapsed = time.monotonic() - started
         return (
             Response(
                 request=request,
                 value=response.value,
-                cost_seconds=elapsed,
-                compute=getattr(response, "compute", None),
+                cost_seconds=clock.answered(response),
+                compute=response.compute,
                 failed_attempts=attempt,
-                wall_clock=True,
-                partial=getattr(response, "partial", False),
+                wall_clock=clock.measured,
+                partial=response.partial,
             ),
             bytes_sent,
             response.bytes_received,
@@ -537,59 +544,52 @@ class ElasticRequestHandler:
         that moment.
         """
         with self._sched_lock:
-            return self._submit_locked(request, at)
-
-    def _submit_locked(self, request: Request,
-                       at: Optional[float] = None) -> ResponseFuture:
-        metrics = self.context.metrics
-        submit_clock = metrics.virtual_seconds
-        if at is not None:
-            submit_clock = max(0.0, min(at, submit_clock))
-        if self._closed:
-            # The handler is shut down (the executor may be gone):
-            # park a rejection on an already-resolved future instead of
-            # touching the pool — nothing will ever drain _pending again.
+            metrics = self.context.metrics
+            submit_clock = metrics.virtual_seconds
+            if at is not None:
+                submit_clock = max(0.0, min(at, submit_clock))
             future = ResponseFuture(self, request, submit_clock)
-            future._exception = QueryRejectedError(
-                request.endpoint_id, "request handler is closed"
-            )
-            future._scheduled = True
-            metrics.sheds += 1
-            return future
-        if not self._pending:
-            metrics.scheduler_waves += 1
-        future = ResponseFuture(self, request, submit_clock)
-        future._timeout = self._timeout_for(request.endpoint_id)
-        # Fast-fail gates, cheapest first: load shedding, the query
-        # deadline, then the breaker.  All three park an error on the
-        # future without contacting the endpoint or the thread pool.
-        if (
-            self._shed_rejects(request, future)
-            or self._deadline_rejects(request, future)
-            or self._breaker_rejects(request, future)
-        ):
+            if self._closed:
+                # The handler is shut down (the executor may be gone):
+                # park a rejection on an already-resolved future instead
+                # of touching the pool — nothing will ever drain
+                # _pending again.
+                future._exception = QueryRejectedError(
+                    request.endpoint_id, "request handler is closed"
+                )
+                future._scheduled = True
+                metrics.sheds += 1
+                return future
+            if not self._pending:
+                metrics.scheduler_waves += 1
+            future._timeout = self._timeout_for(request.endpoint_id)
+            # Fast-fail gates, cheapest first: the query deadline, then
+            # the breaker.  Both park an error on the future without
+            # contacting the endpoint or the thread pool.
+            if not (
+                self._deadline_rejects(request, future)
+                or self._breaker_rejects(request, future)
+            ):
+                if self.use_threads:
+                    future._thread_future = self._pool().submit(
+                        self._perform, request, future._timeout
+                    )
+                else:
+                    try:
+                        future._performed = self._perform(
+                            request, future._timeout
+                        )
+                    except Exception as error:  # re-raised at resolution
+                        future._submit_error = error
             self._pending.append(future)
             if len(self._pending) > metrics.inflight_high_water:
                 metrics.inflight_high_water = len(self._pending)
             return future
-        if self.use_threads:
-            future._thread_future = self._pool().submit(
-                self._perform, request, future._timeout
-            )
-        else:
-            try:
-                future._performed = self._perform(request, future._timeout)
-            except Exception as error:  # re-raised when the future resolves
-                future._submit_error = error
-        self._pending.append(future)
-        if len(self._pending) > metrics.inflight_high_water:
-            metrics.inflight_high_water = len(self._pending)
-        return future
 
     def submit_all(self, requests: Sequence[Request]) -> List[ResponseFuture]:
         return [self.submit(request) for request in requests]
 
-    # -- deadlines, timeouts, shedding ------------------------------------
+    # -- deadlines and timeouts --------------------------------------------
 
     def _timeout_for(self, endpoint_id: str) -> Optional[float]:
         """This endpoint's per-request timeout at the current instant.
@@ -600,38 +600,19 @@ class ElasticRequestHandler:
         no timeout at all (the pre-deadline behaviour).
         """
         ceiling = self.request_timeout_seconds
-        if ceiling is None:
-            return None
         multiplier = self.adaptive_timeout_multiplier
-        if (
-            multiplier is not None
-            and self.latency.count(endpoint_id) >= self.timeout_warmup
-        ):
-            p95 = self.latency.quantile(endpoint_id, 0.95)
-            if p95 is not None:
-                return min(
-                    max(p95 * multiplier, self.timeout_floor_seconds), ceiling
-                )
-        return ceiling
+        if ceiling is None or multiplier is None:
+            return ceiling
+        p95 = self._warm_p95(endpoint_id)
+        if p95 is None:
+            return ceiling
+        return min(max(p95 * multiplier, self.timeout_floor_seconds), ceiling)
 
-    def _shed_rejects(self, request: Request, future: ResponseFuture) -> bool:
-        """Load shedding: bound the in-flight queue, reject the rest."""
-        if self.max_inflight is None or len(self._pending) < self.max_inflight:
-            return False
-        future._submit_error = QueryRejectedError(
-            request.endpoint_id,
-            f"in-flight queue full ({len(self._pending)} pending, "
-            f"limit {self.max_inflight})",
-        )
-        self.context.metrics.sheds += 1
-        self.context.trace_event(
-            "shed",
-            endpoint=request.endpoint_id,
-            request_kind=request.kind,
-            pending=len(self._pending),
-            limit=self.max_inflight,
-        )
-        return True
+    def _warm_p95(self, endpoint_id: str) -> Optional[float]:
+        """The endpoint's tracked p95, once its history is warm."""
+        if self.latency.count(endpoint_id) < self.timeout_warmup:
+            return None
+        return self.latency.quantile(endpoint_id, 0.95)
 
     def _deadline_rejects(self, request: Request,
                           future: ResponseFuture) -> bool:
@@ -656,8 +637,7 @@ class ElasticRequestHandler:
         return True
 
     def _lane_start(self, future: ResponseFuture, endpoint_id: str) -> float:
-        """When this request would start, were it scheduled right now
-        (same arithmetic as :meth:`_schedule_lane`, without mutating)."""
+        """When this request would start, were it scheduled right now."""
         start = max(
             future._submit_clock, self._lane_free.get(endpoint_id, 0.0)
         )
@@ -665,22 +645,31 @@ class ElasticRequestHandler:
             start = max(start, self._worker_free[0])
         return start
 
-    def _clamp_failure_cost(self, future: ResponseFuture, endpoint_id: str,
-                            cost: float) -> float:
-        """Cap a failed request's chargeable time: the client stopped
-        waiting at its timeout / at the deadline, even if the retries
-        would have ground on longer."""
+    def _censor(self, future: ResponseFuture, endpoint_id: str,
+                cost: float) -> Tuple[float, bool, bool]:
+        """How much of a modeled cost the client waited out: it stopped
+        at its timeout / at the deadline, even if the answer (or the
+        retries) would have ground on longer.  Returns ``(allowed, cut
+        by the timeout, cut by the deadline)``."""
         timeout = future._timeout
-        if timeout is not None and cost > timeout:
+        timed_out = timeout is not None and cost > timeout
+        if timed_out:
             cost = timeout
-            self.context.metrics.timeouts += 1
+        past_deadline = False
         deadline = self.context.deadline
         if deadline is not None:
             budget = deadline.remaining(self._lane_start(future, endpoint_id))
-            if cost > budget:
+            past_deadline = cost > budget
+            if past_deadline:
                 cost = budget
-                self.context.metrics.deadline_exceeded += 1
-        return cost
+        return cost, timed_out, past_deadline
+
+    def _note_timeout(self, endpoint_id: str) -> None:
+        """A request outlasted its per-request timeout: one count in the
+        query's metrics and one in the endpoint's health view, always
+        together, so ``/stats`` agrees with the query's own metrics."""
+        self.context.metrics.timeouts += 1
+        self._endpoint_stat(endpoint_id, "timeouts", 1)
 
     # -- circuit breaker ---------------------------------------------------
 
@@ -701,24 +690,17 @@ class ElasticRequestHandler:
         if health is None or health.state == "closed":
             return False
         now = self.context.metrics.virtual_seconds
-        if health.state == "open":
-            if now < health.open_until:
-                future._submit_error = CircuitBreakerOpenError(
-                    request.endpoint_id, health.open_until
-                )
-                self.context.metrics.breaker_fast_fails += 1
-                return True
+        if health.state == "open" and now >= health.open_until:
             health.state = "half_open"
             health.probe_inflight = False
-        if health.state == "half_open":
-            if health.probe_inflight:
-                future._submit_error = CircuitBreakerOpenError(
-                    request.endpoint_id, health.open_until
-                )
-                self.context.metrics.breaker_fast_fails += 1
-                return True
+        if health.state == "half_open" and not health.probe_inflight:
             health.probe_inflight = True
-        return False
+            return False
+        future._submit_error = CircuitBreakerOpenError(
+            request.endpoint_id, health.open_until
+        )
+        self.context.metrics.breaker_fast_fails += 1
+        return True
 
     def _note_failure(self, endpoint_id: str, at: float) -> None:
         """Record an exhausted failure; maybe open the breaker at ``at``."""
@@ -821,11 +803,9 @@ class ElasticRequestHandler:
                        cost_seconds: float) -> float:
         """Place one request onto its lane and a pool worker; returns
         the absolute virtual finish time."""
-        start = max(
-            future._submit_clock, self._lane_free.get(endpoint_id, 0.0)
-        )
+        start = self._lane_start(future, endpoint_id)
         if len(self._worker_free) >= self.pool_size:
-            start = max(start, heapq.heappop(self._worker_free))
+            heapq.heappop(self._worker_free)  # the worker _lane_start saw
         finish = start + cost_seconds
         heapq.heappush(self._worker_free, finish)
         self._lane_free[endpoint_id] = finish
@@ -833,14 +813,21 @@ class ElasticRequestHandler:
         lanes[endpoint_id] = lanes.get(endpoint_id, 0.0) + cost_seconds
         return finish
 
-    def _account_retries(self, endpoint_id: str, kind: str, attempts: int,
-                         bytes_retransmitted: int, exhausted: bool) -> None:
+    def _account_retries(self, endpoint_id: str, kind: str, attempts: int = 0,
+                         bytes_retransmitted: int = 0, error=None) -> None:
         """Fold failed attempts into the metrics and the trace.
 
         Failures are never free: every attempt — absorbed by a later
         retry or not — counts in ``requests_failed``, and the bytes it
-        put on the wire count in ``bytes_sent``.
+        put on the wire count in ``bytes_sent``.  ``error`` is the
+        exception that exhausted the attempt loop, whose stamps say how
+        many attempts and bytes that took; without one the attempts
+        were absorbed by a later success.
         """
+        exhausted = error is not None
+        if exhausted:
+            attempts = getattr(error, "failed_attempts", 0)
+            bytes_retransmitted = getattr(error, "bytes_sent_total", 0)
         if attempts <= 0:
             return
         metrics = self.context.metrics
@@ -879,15 +866,15 @@ class ElasticRequestHandler:
                 error, (CircuitBreakerOpenError, QueryRejectedError)
             ) or getattr(error, "deadline", False)
             if not fast_fail:
-                cost = getattr(error, "virtual_cost", 0.0)
-                cost = self._clamp_failure_cost(future, endpoint_id, cost)
-                attempts = getattr(error, "failed_attempts", 0)
+                cost, timed_out, past_deadline = self._censor(
+                    future, endpoint_id, getattr(error, "virtual_cost", 0.0)
+                )
+                if timed_out:
+                    self._note_timeout(endpoint_id)
+                if past_deadline:
+                    self.context.metrics.deadline_exceeded += 1
                 self._account_retries(
-                    endpoint_id,
-                    future.request.kind,
-                    attempts,
-                    getattr(error, "bytes_sent_total", 0),
-                    exhausted=True,
+                    endpoint_id, future.request.kind, error=error
                 )
                 if cost > 0:
                     future._finish = self._schedule_lane(
@@ -908,26 +895,30 @@ class ElasticRequestHandler:
                 future.request.kind,
                 response.failed_attempts,
                 bytes_sent * response.failed_attempts,
-                exhausted=False,
             )
-        response = self._maybe_hedge(future, endpoint_id, response)
-        self._finish_success(future, endpoint_id, response)
+        # Hedging and censoring are both *post hoc*: a modeled cost is
+        # known at scheduling time, so the simulator can pretend a replica
+        # was launched mid-flight or that the client cancelled at a
+        # predicted instant.  A measured answer has already really
+        # arrived, inside a budget its socket enforced — racing it now
+        # could only duplicate work, censoring it would discard an answer
+        # the client read — so it skips both and is scheduled as it is.
+        verdict = (response.cost_seconds, False, False)
+        if not response.wall_clock:
+            response = self._maybe_hedge(future, endpoint_id, response)
+            verdict = self._censor(future, endpoint_id, response.cost_seconds)
+        self._finish_success(future, endpoint_id, response, *verdict)
 
     # -- hedged requests ---------------------------------------------------
 
-    def _hedge_trigger(self, endpoint_id: str) -> Optional[float]:
+    def _hedge_trigger(self, endpoint_id: str) -> float:
         """Latency past which a request is worth racing against the
         endpoint's replica: the smaller of the warm p95 and the static
         threshold (a steady straggler's own p95 is high — the static
         floor keeps hedging armed against it)."""
-        candidates = []
-        if self.hedge_threshold_seconds is not None:
-            candidates.append(self.hedge_threshold_seconds)
-        if self.latency.count(endpoint_id) >= self.timeout_warmup:
-            p95 = self.latency.quantile(endpoint_id, 0.95)
-            if p95 is not None:
-                candidates.append(p95)
-        return min(candidates) if candidates else None
+        trigger = self.hedge_threshold_seconds
+        p95 = self._warm_p95(endpoint_id)
+        return trigger if p95 is None else min(trigger, p95)
 
     def _charge_hedge_lane(self, endpoint_id: str, launched_at: float,
                            cost_seconds: float) -> None:
@@ -956,21 +947,13 @@ class ElasticRequestHandler:
         never read, so the speculative replica request would write to a
         dead future and charge its lane for work nobody wanted.
         """
-        if not self.hedge or self._draining:
-            return response
-        if response.wall_clock:
-            # Hedging here is *post hoc*: the primary's modeled cost is
-            # known at scheduling time, so the simulator can pretend a
-            # duplicate was launched mid-flight.  A wall-clock response
-            # has already really arrived by this point — launching a
-            # replica request now could never beat it, only duplicate
-            # work — so hedging is explicitly gated off for real sockets.
+        if self.hedge_threshold_seconds is None or self._draining:
             return response
         replica_id = self.federation.replica_of(endpoint_id)
         if replica_id is None:
             return response
         trigger = self._hedge_trigger(endpoint_id)
-        if trigger is None or response.cost_seconds <= trigger:
+        if response.cost_seconds <= trigger:
             return response
         metrics = self.context.metrics
         metrics.hedges_launched += 1
@@ -984,13 +967,7 @@ class ElasticRequestHandler:
         except Exception as error:
             # The replica failed too — the primary answer stands; the
             # replica's attempts and lane time are still accounted.
-            self._account_retries(
-                replica_id,
-                request.kind,
-                getattr(error, "failed_attempts", 0),
-                getattr(error, "bytes_sent_total", 0),
-                exhausted=True,
-            )
+            self._account_retries(replica_id, request.kind, error=error)
             self._charge_hedge_lane(
                 replica_id, launched_at, getattr(error, "virtual_cost", 0.0)
             )
@@ -1043,24 +1020,25 @@ class ElasticRequestHandler:
         return winner
 
     def _finish_success(self, future: ResponseFuture, endpoint_id: str,
-                        response: Response) -> None:
-        """Schedule an answered request, applying the timeout and the
-        deadline clamp.  A clamped request becomes a failure: the client
-        cancelled it after ``allowed`` seconds and only that much is
-        charged — which is what bounds the query's completion time by
-        ``deadline + one request timeout``."""
+                        response: Response, allowed: float,
+                        timed_out: bool, past_deadline: bool) -> None:
+        """Schedule an answered request, given :meth:`_censor`'s verdict
+        on it.  One cut by its timeout or the deadline becomes a
+        failure: the client cancelled it after ``allowed`` seconds and
+        only that much is charged — which is what bounds the query's
+        completion time by ``deadline + one request timeout``."""
         cost = response.cost_seconds
-        if response.wall_clock:
-            # The wall budget was already enforced at the socket: an
-            # answer that exists is an answer the client really read, so
-            # the retroactive censoring below (which models a virtual
-            # client cancelling at a predicted instant) must not discard
-            # it.  Measured latency feeds the tracker as-is, and a
-            # member that flagged its own answer as incomplete is folded
-            # into the completeness report instead of being dropped.
-            self.latency.observe(endpoint_id, cost)
+        reason = (
+            "deadline" if past_deadline else "timeout" if timed_out else None
+        )
+        # The tracker sees what a client would measure: true latency for
+        # answers it read, the censored cancellation point otherwise.
+        self.latency.observe(endpoint_id, allowed)
+        if reason is None:
             self._note_success(endpoint_id)
             if response.partial:
+                # The member flagged its own answer as incomplete: fold
+                # that into the completeness report, keep the rows.
                 self.context.completeness.note_failure(
                     endpoint_id, "remote_partial"
                 )
@@ -1072,32 +1050,10 @@ class ElasticRequestHandler:
             future._finish = self._schedule_lane(future, endpoint_id, cost)
             future._scheduled = True
             return
-        allowed = cost
-        reason = None
-        timeout = future._timeout
-        if timeout is not None and allowed > timeout:
-            allowed = timeout
-            reason = "timeout"
-        deadline = self.context.deadline
-        if deadline is not None:
-            budget = deadline.remaining(self._lane_start(future, endpoint_id))
-            if allowed > budget:
-                allowed = budget
-                reason = "deadline"
-        # The tracker sees what a client would measure: true latency for
-        # answers it read, the censored cancellation point otherwise.
-        self.latency.observe(endpoint_id, allowed)
-        if reason is None:
-            self._note_success(endpoint_id)
-            future._response = response
-            future._finish = self._schedule_lane(future, endpoint_id, cost)
-            future._scheduled = True
-            return
         metrics = self.context.metrics
         metrics.requests_failed += 1
         if reason == "timeout":
-            metrics.timeouts += 1
-            self._endpoint_stat(endpoint_id, "timeouts", 1)
+            self._note_timeout(endpoint_id)
         else:
             metrics.deadline_exceeded += 1
         future._finish = self._schedule_lane(future, endpoint_id, allowed)
@@ -1133,28 +1089,4 @@ class ElasticRequestHandler:
         serialize, requests to different endpoints overlap, and the
         worker pool bounds total concurrency.
         """
-        if not requests:
-            return []
         return self.gather(self.submit_all(requests))
-
-    # Convenience wrappers -------------------------------------------------
-
-    def ask(self, endpoint_id: str, query_text: str) -> bool:
-        response = self.execute(Request(endpoint_id, query_text, kind="ASK"))
-        return bool(response.value)
-
-    def ask_all(self, endpoint_ids: Sequence[str], query_text: str) -> Dict[str, bool]:
-        requests = [Request(eid, query_text, kind="ASK") for eid in endpoint_ids]
-        responses = self.execute_batch(requests)
-        return {r.request.endpoint_id: bool(r.value) for r in responses}
-
-    def select(self, endpoint_id: str, query_text: str) -> ResultSet:
-        response = self.execute(Request(endpoint_id, query_text, kind="SELECT"))
-        return response.value  # type: ignore[return-value]
-
-    def select_all(
-        self, endpoint_ids: Sequence[str], query_text: str
-    ) -> Dict[str, ResultSet]:
-        requests = [Request(eid, query_text, kind="SELECT") for eid in endpoint_ids]
-        responses = self.execute_batch(requests)
-        return {r.request.endpoint_id: r.value for r in responses}  # type: ignore[misc]

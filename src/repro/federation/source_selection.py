@@ -13,7 +13,7 @@ from ..rdf.term import Variable
 from ..rdf.triple import TriplePattern
 from ..sparql.ast import GroupPattern, Query
 from ..sparql.serializer import serialize_query
-from .cache import AskCache
+from .cache import ProbeCache, canonical_pattern_key
 from .request_handler import ElasticRequestHandler, Request
 
 
@@ -39,7 +39,7 @@ class SourceSelector:
     def __init__(
         self,
         handler: ElasticRequestHandler,
-        cache: Optional[AskCache] = None,
+        cache: Optional[ProbeCache] = None,
         router=None,
     ):
         self.handler = handler
@@ -92,11 +92,12 @@ class SourceSelector:
     def relevant_sources(self, pattern: TriplePattern) -> Tuple[str, ...]:
         """Endpoint ids (federation order) that can answer ``pattern``."""
         endpoint_ids = self._route_fragments(pattern)
+        key = canonical_pattern_key(pattern)
         answers: Dict[str, bool] = {}
         missing: List[str] = []
         for endpoint_id in endpoint_ids:
             cached = (
-                self.cache.get(endpoint_id, pattern, self._version(endpoint_id))
+                self.cache.get(endpoint_id, key, self._version(endpoint_id))
                 if self.cache
                 else None
             )
@@ -119,7 +120,7 @@ class SourceSelector:
                     # The failure is never cached: the endpoint may be
                     # back for the next query.
                     answers[endpoint_id] = False
-                    replica = self._ask_replica(endpoint_id, text, pattern)
+                    replica = self._ask_replica(endpoint_id, text, key)
                     if replica is not None:
                         replica_id, replica_answer = replica
                         answers[replica_id] = replica_answer
@@ -129,15 +130,14 @@ class SourceSelector:
                 answers[endpoint_id] = answer
                 if self.cache is not None:
                     self.cache.put(
-                        endpoint_id, pattern, answer,
-                        self._version(endpoint_id),
+                        endpoint_id, key, answer, self._version(endpoint_id)
                     )
         relevant = [eid for eid in endpoint_ids if answers.get(eid)]
         relevant.extend(eid for eid in rerouted if answers.get(eid))
         return tuple(relevant)
 
     def _ask_replica(
-        self, endpoint_id: str, text: str, pattern: TriplePattern
+        self, endpoint_id: str, text: str, key: str
     ) -> Optional[Tuple[str, bool]]:
         """Re-ask a failed primary's standby replica, if one exists.
 
@@ -156,7 +156,7 @@ class SourceSelector:
         answer = bool(response.value)
         if self.cache is not None:
             self.cache.put(
-                replica_id, pattern, answer, self._version(replica_id)
+                replica_id, key, answer, self._version(replica_id)
             )
         self.handler.context.completeness.note_reroute(endpoint_id, replica_id)
         return replica_id, answer

@@ -1,11 +1,11 @@
 """Tests for the compile-once BGP planner, batch executor, and the
-satellite changes that rode along (hash MINUS, CountCache, ERH context
+satellite changes that rode along (hash MINUS, COUNT cache, ERH context
 manager, per-request compute attribution)."""
 
 import pytest
 
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
-from repro.federation import CountCache, ElasticRequestHandler, Federation, Request
+from repro.federation import ElasticRequestHandler, Federation, ProbeCache, Request
 from repro.rdf import IRI, Triple, TriplePattern, Variable, parse as nt_parse
 from repro.sparql import Evaluator, EvaluatorStats, build_plan, parse_query
 from repro.store import TripleStore
@@ -239,19 +239,17 @@ class TestHashMinus:
 
 class TestCountCache:
     def test_hit_miss_counters(self):
-        cache = CountCache()
-        key = ("ep1", "pattern-key")
-        assert cache.get(key) is None
+        cache = ProbeCache()
+        assert cache.get("ep1", "pattern-key") is None
         assert cache.misses == 1
-        cache[key] = 7
-        assert cache.get(key) == 7
+        cache.put("ep1", "pattern-key", 7)
+        assert cache.get("ep1", "pattern-key") == 7
         assert cache.hits == 1
-        assert key in cache
+        # membership is version-scoped and leaves the counters alone
+        assert cache.contains("ep1", "pattern-key")
+        assert not cache.contains("ep1", "pattern-key", version=1)
+        assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
-
-    def test_default_value(self):
-        cache = CountCache()
-        assert cache.get(("ep", "k"), -1) == -1
 
 
 class TestHandlerContextManager:

@@ -227,7 +227,7 @@ class TestRequestHandlerClose:
         federation.register_replica("ep1", "ep2")
         context = federation.make_context()
         handler = ElasticRequestHandler(
-            federation, context, hedge=True, hedge_threshold_seconds=0.0
+            federation, context, hedge_threshold_seconds=0.0
         )
         for _ in range(4):
             handler.submit(Request("ep1", self.ASK, "ASK"))

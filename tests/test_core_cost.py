@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.subquery import Subquery
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
-from repro.federation import ElasticRequestHandler, Federation
+from repro.federation import ElasticRequestHandler, Federation, ProbeCache
 from repro.rdf import IRI, Triple, TriplePattern, Variable
 
 
@@ -81,7 +81,7 @@ class TestCardinalityEstimator:
         assert counts == {"ep1": 10, "ep2": 6}
 
     def test_count_cache_avoids_probes(self, federation):
-        cache = {}
+        cache = ProbeCache()
         ctx1 = federation.make_context()
         estimator = CardinalityEstimator(
             ElasticRequestHandler(federation, ctx1), count_cache=cache

@@ -13,9 +13,8 @@ The invariants under test:
 - hedged requests change nothing against a healthy primary and recover
   the full answer against a stalled one, with honest win/cancel
   accounting — bit-identically across execution modes;
-- load shedding (request-level ``max_inflight``, engine-level
-  :class:`AdmissionController`) rejects work up front instead of
-  queueing it into everyone's deadline;
+- the :class:`AdmissionController` the serving layer sheds with keeps
+  honest books;
 - a deadline-bounded query finishes within ``deadline + one request
   timeout`` (plus engine compute), returns a subset of the unbounded
   answer, and reports PARTIAL honestly (Hypothesis-checked).
@@ -37,7 +36,6 @@ from repro.endpoint import (
     FaultProfile,
     LOCAL_CLUSTER,
     LocalEndpoint,
-    QueryRejectedError,
     RequestTimeoutError,
 )
 from repro.federation import (
@@ -302,8 +300,7 @@ class TestHedging:
         def run(hedge):
             engine = LusailEngine(
                 _federation(replicate_ep2=True),
-                hedge_requests=hedge,
-                hedge_threshold_seconds=1e-6,
+                hedge_threshold_seconds=1e-6 if hedge else None,
             )
             outcome = engine.execute(QUERY_QA)
             assert outcome.status == "OK", outcome.error
@@ -319,7 +316,6 @@ class TestHedging:
     def test_stalled_primary_is_rescued_by_replica(self):
         engine = LusailEngine(
             _federation(ep2_profile=STALL, replicate_ep2=True),
-            hedge_requests=True,
             hedge_threshold_seconds=0.05,
         )
         outcome = engine.execute(QUERY_QA)
@@ -333,7 +329,6 @@ class TestHedging:
     def test_hedging_without_replica_is_inert(self):
         engine = LusailEngine(
             _federation(),
-            hedge_requests=True,
             hedge_threshold_seconds=1e-6,
         )
         outcome = engine.execute(QUERY_QA)
@@ -344,7 +339,6 @@ class TestHedging:
     def test_modes_agree_bit_for_bit(self, use_threads):
         engine = LusailEngine(
             _federation(ep2_profile=STALL, replicate_ep2=True),
-            hedge_requests=True,
             hedge_threshold_seconds=0.05,
             use_threads=use_threads,
         )
@@ -357,8 +351,7 @@ class TestHedging:
         assert outcome.metrics.virtual_seconds == pytest.approx(
             LusailEngine(
                 _federation(ep2_profile=STALL, replicate_ep2=True),
-                hedge_requests=True,
-                hedge_threshold_seconds=0.05,
+                    hedge_threshold_seconds=0.05,
             ).execute(QUERY_QA).metrics.virtual_seconds
         )
 
@@ -369,20 +362,10 @@ class TestHedging:
 
 
 class TestLoadShedding:
-    def test_max_inflight_sheds_excess_submissions(self):
-        handler, context = _handler(_federation(), max_inflight=2)
-        with handler:
-            first = handler.submit(Request("ep1", ASK_TEXT, kind="ASK"))
-            second = handler.submit(Request("ep2", ASK_TEXT, kind="ASK"))
-            third = handler.submit(Request("ep1", ASK_TEXT, kind="ASK"))
-            with pytest.raises(QueryRejectedError):
-                third.result()
-            assert first.result() is not None
-            assert second.result() is not None
-        assert context.metrics.sheds == 1
-        # The shed request cost nothing — two successes, no failures.
-        assert context.metrics.requests == 2
-        assert context.metrics.requests_failed == 0
+    # Request-level shedding (the handler's ``max_inflight``) and
+    # engine-level shedding (``LusailEngine(admission=...)``) are deleted:
+    # no caller ever set either.  ``QuerySessionManager`` is the one
+    # admission layer; tests/test_serving.py covers its shedding.
 
     def test_admission_controller_bookkeeping(self):
         admission = AdmissionController(max_concurrent=2)
@@ -396,18 +379,6 @@ class TestLoadShedding:
         with pytest.raises(RuntimeError):
             for _ in range(3):
                 admission.release()
-
-    def test_engine_sheds_queries_at_capacity(self):
-        admission = AdmissionController(max_concurrent=0)
-        engine = LusailEngine(_federation(), admission=admission)
-        outcome = engine.execute(QUERY_QA)
-        assert outcome.status == "RE"
-        assert "admission" in outcome.error
-        assert outcome.metrics.sheds == 1
-        assert outcome.metrics.requests == 0
-        # The slot frees up for the next caller.
-        admission.max_concurrent = 1
-        assert engine.execute(QUERY_QA).status == "OK"
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +407,6 @@ class TestDeadlineExecution:
         # serialized on the lane) inside the 2s budget.
         engine = LusailEngine(
             _federation(ep2_profile=STALL, replicate_ep2=True),
-            hedge_requests=True,
             hedge_threshold_seconds=0.02,
         )
         outcome = engine.execute(QUERY_QA, deadline_seconds=2.0)

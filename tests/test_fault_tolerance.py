@@ -421,7 +421,7 @@ class TestPartialResults:
         federation = build_paper_federation()
         ep2 = federation.endpoint("ep2")
         original = ep2.execute
-        ep2.execute = lambda text: (calls.append(text), original(text))[1]
+        ep2.execute = lambda text, **_: (calls.append(text), original(text))[1]
         baseline = LusailEngine(federation).execute(QUERY_QA)
         assert baseline.status == "OK"
         tail = OutageWindow(start=len(calls) - 1)

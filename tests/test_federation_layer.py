@@ -4,8 +4,8 @@ import pytest
 
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import (
-    AskCache,
-    CheckCache,
+    ProbeCache,
+    check_signature,
     ElasticRequestHandler,
     Federation,
     Request,
@@ -66,7 +66,9 @@ class TestRequestHandler:
     def test_serial_request_charges_full_cost(self, federation):
         ctx = federation.make_context()
         handler = ElasticRequestHandler(federation, ctx)
-        handler.ask("ep1", "ASK { ?s <http://ub/advisor> ?o }")
+        handler.execute(
+            Request("ep1", "ASK { ?s <http://ub/advisor> ?o }", kind="ASK")
+        )
         assert ctx.metrics.requests == 1
         assert ctx.metrics.ask_requests == 1
         assert ctx.metrics.virtual_seconds > 0
@@ -76,12 +78,12 @@ class TestRequestHandler:
         # Serial: two full costs.
         ctx_serial = federation.make_context()
         serial = ElasticRequestHandler(federation, ctx_serial)
-        serial.select("ep1", text)
-        serial.select("ep2", text)
+        serial.execute(Request("ep1", text))
+        serial.execute(Request("ep2", text))
         # Batch: overlapping costs.
         ctx_batch = federation.make_context()
         batch = ElasticRequestHandler(federation, ctx_batch)
-        batch.select_all(["ep1", "ep2"], text)
+        batch.execute_batch([Request("ep1", text), Request("ep2", text)])
         assert ctx_batch.metrics.virtual_seconds < ctx_serial.metrics.virtual_seconds
         assert ctx_batch.metrics.requests == 2
 
@@ -124,7 +126,7 @@ class TestSourceSelection:
         assert selector.relevant_sources(self.ADDRESS) == ("ep2",)
 
     def test_cache_avoids_repeat_asks(self, federation):
-        cache = AskCache()
+        cache = ProbeCache()
         ctx1 = federation.make_context()
         selector = SourceSelector(
             ElasticRequestHandler(federation, ctx1), cache=cache
@@ -159,10 +161,10 @@ class TestSourceSelection:
 
 class TestCheckCache:
     def test_signature_and_round_trip(self):
-        cache = CheckCache()
+        cache = ProbeCache()
         tp1 = TriplePattern(Variable("p"), IRI("http://phd"), Variable("u"))
         tp2 = TriplePattern(Variable("u"), IRI("http://addr"), Variable("a"))
-        sig = CheckCache.signature(tp1, tp2, None)
+        sig = check_signature(tp1, tp2, None)
         assert cache.get("ep1", sig) is None
         cache.put("ep1", sig, True)
         assert cache.get("ep1", sig) is True

@@ -4,14 +4,20 @@ of the one store / one evaluator / one scheduler.
 ``src/`` used to keep every superseded storage, evaluation and
 scheduling path behind an ablation knob (``use_columnar``, ``shards``,
 ``use_dictionary``, ``use_planner``, ``vectorized_joins``, ``pipeline``,
-``streaming``).  They are gone; the signatures below are pinned so one
-cannot come back without a diff to this file.
+``streaming``), and the engine mirrored seven request-handler settings
+nobody set (``join_threads``, ``breaker_threshold``,
+``breaker_cooldown_seconds``, ``request_timeout_seconds``,
+``max_inflight``, ``admission``, ``hedge_requests``).  They are gone;
+the signatures below are pinned so one cannot come back without a diff
+to this file.
 
 Row *order* used to be pinned only by mode-vs-mode identity tests.  With
 one mode left, it is pinned by digests of LUBM Q1–Q4 taken at the commit
 that still had the other modes (``b0fdb09``).  Request, byte, clock and
 scheduler *accounting* is pinned the same way, by counters taken at the
-last commit with two dispatch paths (``052c3fa``).
+last commit with two dispatch paths (``052c3fa``); retry, breaker,
+refusal, hedge and timeout accounting under injected faults by counters
+taken at the last commit with two ERH retry loops (``7048a24``).
 """
 
 import hashlib
@@ -23,10 +29,16 @@ from repro.bench.federation_bench import (
     DIRECTORY_QUERY,
     build_directory_federation,
 )
+from repro.bench.resilience_bench import (
+    DOWN_ENDPOINT,
+    HEDGE_THRESHOLD_SECONDS,
+    STRAGGLER_SPIKE_SECONDS,
+    _build_federation,
+)
 from repro.core import LusailEngine
 from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
-from repro.endpoint import LocalEndpoint
-from repro.federation import Federation
+from repro.endpoint import FaultProfile, LocalEndpoint
+from repro.federation import ElasticRequestHandler, Federation
 from repro.sparql import Evaluator, parse_query
 from repro.store import TripleStore
 
@@ -55,12 +67,18 @@ def _parameters(function):
     ]),
     (LusailEngine.__init__, [
         "federation", "pool_size", "delay_threshold", "enable_sape",
-        "use_cache", "strict_checks", "values_block_size", "join_threads",
-        "use_threads", "max_retries", "partial_results", "breaker",
-        "breaker_threshold", "breaker_cooldown_seconds",
-        "request_timeout_seconds", "hedge_requests",
-        "hedge_threshold_seconds", "max_inflight", "admission",
-        "result_cache", "reset_request_windows",
+        "use_cache", "strict_checks", "values_block_size", "use_threads",
+        "max_retries", "partial_results", "breaker",
+        "hedge_threshold_seconds", "result_cache", "reset_request_windows",
+    ]),
+    # retry / breaker / timeout / hedge policy lives here and only here:
+    # the engine passes what it owns or derives, never a mirror of these
+    (ElasticRequestHandler.__init__, [
+        "federation", "context", "pool_size", "use_threads", "max_retries",
+        "retry_backoff_seconds", "breaker_threshold",
+        "breaker_cooldown_seconds", "latency_tracker",
+        "request_timeout_seconds", "adaptive_timeout_multiplier",
+        "timeout_floor_seconds", "timeout_warmup", "hedge_threshold_seconds",
     ]),
 ])
 def test_exact_parameter_names(function, expected):
@@ -158,3 +176,101 @@ def test_accounting_matches_the_two_path_commit(name, entry_point):
             metrics.result_cache_hits,
         ))
     assert observed == _GOLDEN_ACCOUNTING[(name, entry_point)]
+
+
+def _faulted(profile, everywhere=False, with_replica=False):
+    generator = LubmGenerator(universities=2)
+    targets = (
+        [f"university{i}" for i in range(2)] if everywhere else [DOWN_ENDPOINT]
+    )
+    return _build_federation(
+        generator, {target: profile for target in targets}, with_replica
+    )
+
+
+#: name -> (engine factory, execute() keyword arguments)
+_FAULTED_WORKLOADS = {
+    # transient failures on every member, all absorbed by retries
+    "flaky": (lambda: LusailEngine(
+        _faulted(FaultProfile(failure_rate=0.15), everywhere=True)
+    ), {}),
+    # one member hard down: retries exhaust, its breaker opens
+    "outage": (lambda: LusailEngine(
+        _faulted(FaultProfile.always_down()), partial_results=True
+    ), {}),
+    # one member refuses its fifth request of every query
+    "rate-limit": (lambda: LusailEngine(
+        _faulted(FaultProfile(requests_per_query=4)), partial_results=True
+    ), {}),
+    # one member ~10x slow, raced against its standby replica
+    "straggler-hedge": (lambda: LusailEngine(
+        _faulted(
+            FaultProfile(
+                latency_spike_rate=1.0,
+                latency_spike_seconds=STRAGGLER_SPIKE_SECONDS,
+            ),
+            with_replica=True,
+        ),
+        hedge_threshold_seconds=HEDGE_THRESHOLD_SECONDS,
+    ), {}),
+    # one member hard down under a budget: exhausted retries outlast
+    # the per-request timeout the deadline implies
+    "deadline-outage": (lambda: LusailEngine(
+        _faulted(FaultProfile.always_down()), max_retries=4
+    ), {"deadline_seconds": 2.0}),
+}
+
+#: (workload, query, entry point) -> [cold run, repeat on the same
+#: engine], each (status, requests, requests_failed, retries, bytes_sent,
+#: virtual seconds, timeouts, breaker_opens, hedges_won)
+_GOLDEN_FAULTED = {
+    ("flaky", "Q2", "execute"): [("OK", 30, 7, 7, 8366, 1.349005485, 0, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
+    ("flaky", "Q2", "execute_streaming"): [("OK", 30, 7, 7, 8366, 1.349005485, 0, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
+    ("flaky", "Q4", "execute"): [("OK", 50, 11, 11, 10096, 2.640129315, 0, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
+    ("flaky", "Q4", "execute_streaming"): [("OK", 50, 11, 11, 10096, 2.640129315, 0, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
+    ("outage", "Q2", "execute"): [("PARTIAL", 15, 9, 6, 4683, 5.653065972, 0, 1, 0), ("PARTIAL", 0, 9, 6, 1188, 5.647016512, 0, 1, 0)],
+    ("outage", "Q2", "execute_streaming"): [("PARTIAL", 15, 9, 6, 4683, 5.653065972, 0, 1, 0), ("PARTIAL", 0, 9, 6, 1188, 5.647016512, 0, 1, 0)],
+    ("outage", "Q4", "execute"): [("PARTIAL", 25, 9, 6, 5107, 5.562886305, 0, 1, 0), ("PARTIAL", 0, 9, 6, 873, 5.551805297, 0, 1, 0)],
+    ("outage", "Q4", "execute_streaming"): [("PARTIAL", 25, 9, 6, 5107, 5.562886243, 0, 1, 0), ("PARTIAL", 0, 9, 6, 873, 5.551805297, 0, 1, 0)],
+    ("rate-limit", "Q2", "execute"): [("PARTIAL", 23, 7, 0, 4633, 0.009678435, 0, 1, 0), ("PARTIAL", 12, 6, 0, 4487, 0.006639893, 0, 1, 0)],
+    ("rate-limit", "Q2", "execute_streaming"): [("PARTIAL", 23, 7, 0, 4633, 0.00967431, 0, 1, 0), ("PARTIAL", 12, 6, 0, 4487, 0.006640143, 0, 1, 0)],
+    ("rate-limit", "Q4", "execute"): [("PARTIAL", 30, 13, 0, 8927, 0.013281573, 0, 1, 0), ("PARTIAL", 8, 15, 0, 4073, 0.010085974, 0, 1, 0)],
+    ("rate-limit", "Q4", "execute_streaming"): [("PARTIAL", 30, 13, 0, 7467, 0.013261956, 0, 1, 0), ("PARTIAL", 8, 15, 0, 4073, 0.010085975, 0, 1, 0)],
+    ("straggler-hedge", "Q2", "execute"): [("OK", 45, 0, 0, 10485, 0.307554512, 0, 0, 15), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
+    ("straggler-hedge", "Q2", "execute_streaming"): [("OK", 45, 0, 0, 10485, 0.307554512, 0, 0, 15), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
+    ("straggler-hedge", "Q4", "execute"): [("OK", 75, 0, 0, 12534, 0.512620377, 0, 0, 25), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
+    ("straggler-hedge", "Q4", "execute_streaming"): [("OK", 75, 0, 0, 12534, 0.512620377, 0, 0, 25), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
+    ("deadline-outage", "Q2", "execute"): [("PARTIAL", 18, 15, 12, 5562, 1.507671121, 3, 1, 0), ("PARTIAL", 8, 15, 12, 4247, 1.500010125, 3, 1, 0)],
+    ("deadline-outage", "Q2", "execute_streaming"): [("PARTIAL", 18, 15, 12, 5562, 1.507671121, 3, 1, 0), ("PARTIAL", 8, 15, 12, 4247, 1.500010125, 3, 1, 0)],
+    ("deadline-outage", "Q4", "execute"): [("PARTIAL", 23, 15, 12, 5069, 1.510253011, 3, 1, 0), ("PARTIAL", 11, 15, 12, 3894, 1.500018062, 3, 1, 0)],
+    ("deadline-outage", "Q4", "execute_streaming"): [("PARTIAL", 23, 15, 12, 5069, 1.510260261, 3, 1, 0), ("PARTIAL", 11, 15, 12, 3894, 1.500025312, 3, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("name,query,entry_point", sorted(_GOLDEN_FAULTED))
+def test_faulted_accounting_matches_the_two_loop_commit(
+    name, query, entry_point
+):
+    build, limits = _FAULTED_WORKLOADS[name]
+    engine = build()
+    observed = []
+    for _ in range(2):
+        if entry_point == "execute":
+            outcome = engine.execute(LUBM_QUERIES[query], **limits)
+        else:
+            outcome = engine.execute_streaming(
+                LUBM_QUERIES[query], **limits
+            ).drain()
+        metrics = outcome.metrics
+        observed.append((
+            outcome.status,
+            metrics.requests,
+            metrics.requests_failed,
+            metrics.retries,
+            metrics.bytes_sent,
+            round(metrics.virtual_seconds, 9),
+            metrics.timeouts,
+            metrics.breaker_opens,
+            metrics.hedges_won,
+        ))
+    assert observed == _GOLDEN_FAULTED[(name, query, entry_point)]

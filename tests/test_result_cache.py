@@ -339,6 +339,27 @@ class TestWarmSecondPass:
         assert after.metrics.requests > 0
 
 
+    def test_row_order_does_not_depend_on_which_sources_hit(self):
+        """Regression (flaky at 7048a24 under the serving layer, where a
+        concurrent query can cache one source mid-flight): cache-served
+        pieces used to union ahead of fetched ones, so a partial hit
+        reordered the answer's rows."""
+        from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
+
+        federation = LubmGenerator(universities=2).build_federation()
+        engine = LusailEngine(federation)
+        cold = engine.execute(LUBM_QUERIES["Q1"])
+        # Invalidate only the *first* source's entries: it is fetched
+        # again while the second is served from the cache.
+        federation.endpoint("university0").store.add(Triple(
+            IRI("http://example.org/unrelated"), IRI(f"{UB}unrelated"),
+            Literal("x"),
+        ))
+        mixed = engine.execute(LUBM_QUERIES["Q1"])
+        assert 0 < mixed.metrics.result_cache_hits
+        assert 0 < mixed.metrics.select_requests
+        assert mixed.result.rows == cold.result.rows
+
 # ----------------------------------------------------------------------
 # Replica / fragment registration validation
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ class TestHandlerRetries:
             ctx = fed.make_context()
             handler = ElasticRequestHandler(fed, ctx, max_retries=10)
             for _ in range(20):
-                handler.ask("ep1", "ASK { ?s ?p ?o }")
+                handler.execute(Request("ep1", "ASK { ?s ?p ?o }", "ASK"))
             return ctx.metrics.virtual_seconds
 
         assert total_cost(federation) > total_cost(steady)
