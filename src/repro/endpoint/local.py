@@ -18,6 +18,10 @@ from .network import Region
 
 _DEFAULT_REGION = Region("local")
 
+#: query text one endpoint keeps parsed (LRU).  Bytes, not entries: a bound
+#: VALUES request is kilobytes of IRIs and its AST ~6x that.
+_PARSE_CACHE_TEXT_BYTES = 256 * 1024
+
 
 class LocalEndpoint:
     """Wraps a :class:`TripleStore` behind the endpoint protocol.
@@ -58,6 +62,7 @@ class LocalEndpoint:
         self._requests_in_window = 0
         self._evaluator = Evaluator(store)
         self._parse_cache: Dict[str, Query] = {}
+        self._parse_cache_bytes = 0
         #: serializes :meth:`execute` like a single-threaded SPARQL
         #: server answering one query at a time.  The evaluator's stats
         #: snapshot/delta window, the rate-limit window, the parse cache,
@@ -107,11 +112,15 @@ class LocalEndpoint:
         latency_penalty = 0.0
         if self.faults is not None:
             latency_penalty = self.faults.check(query_text)
-        query = self._parse_cache.get(query_text)
+        query = self._parse_cache.pop(query_text, None)
         if query is None:
             query = parse_query(query_text)
-            if len(self._parse_cache) < 4096:
-                self._parse_cache[query_text] = query
+            self._parse_cache_bytes += len(query_text)
+        self._parse_cache[query_text] = query  # (re)inserted most recent
+        while self._parse_cache_bytes > _PARSE_CACHE_TEXT_BYTES:
+            oldest = next(iter(self._parse_cache))
+            del self._parse_cache[oldest]
+            self._parse_cache_bytes -= len(oldest)
         stats = self._evaluator.stats
         before = stats.snapshot()
         if query.form == "ASK":

@@ -66,6 +66,10 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "Lusail/0.1"
+    #: TCP_NODELAY on every accepted socket: a response is several small
+    #: writes, and Nagle holding the later ones back for the client's
+    #: delayed ACK costs ~40 ms per response
+    disable_nagle_algorithm = True
 
     # The manager is attached to the server object by LusailHTTPServer.
     @property
@@ -383,9 +387,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
                         "reason": "server draining",
                     })
                     return
-                self.wfile.write(f"{len(piece):X}\r\n".encode("ascii"))
-                self.wfile.write(piece)
-                self.wfile.write(b"\r\n")
+                self.wfile.write(b"%X\r\n%b\r\n" % (len(piece), piece))
                 wrote_head = True
             self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
@@ -404,10 +406,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         advertised document was cut short, so the framing is suspect)."""
         tail = document_tail(info)
         try:
-            self.wfile.write(f"{len(tail):X}\r\n".encode("ascii"))
-            self.wfile.write(tail)
-            self.wfile.write(b"\r\n")
-            self.wfile.write(b"0\r\n\r\n")
+            self.wfile.write(b"%X\r\n%b\r\n0\r\n\r\n" % (len(tail), tail))
         except (BrokenPipeError, ConnectionResetError):
             pass
         self.close_connection = True

@@ -15,15 +15,18 @@ back to terms only at the BGP boundary — or, for pure-BGP SELECTs, not
 until the final :class:`ResultSet` cells are materialized.  Evaluation
 only ever *looks up* terms in the store's dictionary; a constant or an
 outer binding the data never mentions yields no solutions and interns
-nothing.  (The seed's per-binding recursive joiner lives on in
-``tests/reference.py`` as the differential oracle.)
+nothing.  The two non-BGP shapes federators send ride the same
+pipeline — a bound VALUES block as an ID semi-join inside it, a
+top-level (NOT) EXISTS as one seeded run per batch — and LIMIT stops
+pulling.  (``tests/reference.py`` keeps the row-at-a-time oracles.)
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from itertools import compress, islice
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.term import Variable
 from ..rdf.triple import TriplePattern
@@ -38,8 +41,7 @@ from .ast import (
     UnionPattern,
     ValuesBlock,
 )
-from .expressions import ExpressionError
-from .expressions import Binding, Expression
+from .expressions import Binding, ExistsExpr, Expression, ExpressionError
 from .plan import DEFAULT_BATCH_SIZE, BGPPlan, EvaluatorStats, build_plan
 
 _EMPTY_BINDING: Binding = {}
@@ -87,10 +89,14 @@ class Evaluator:
         """Evaluate a SELECT query; returns a :class:`ResultSet`."""
         from .results import ResultSet
 
+        # With nothing that reorders, dedups or folds the solutions, the
+        # answer is a prefix of the lazy group stream: stop pulling there.
+        reshaped = query.order_by or query.distinct or query.aggregates or query.group_by
+        stop = None if reshaped or query.limit is None else query.offset + query.limit
         with self._timed():
             result = self._select_bgp_fast(query)
             if result is None:
-                solutions = list(self._evaluate_group(query.where, _EMPTY_BINDING))
+                solutions = list(islice(self._evaluate_group(query.where, _EMPTY_BINDING), stop))
         if result is None:
             if query.aggregates or query.group_by:
                 return self._aggregate(query, solutions)
@@ -168,14 +174,27 @@ class Evaluator:
         # the non-BGP elements in their syntactic order.
         patterns = [e for e in group.elements if isinstance(e, TriplePattern)]
         others = [e for e in group.elements if not isinstance(e, TriplePattern)]
+        blocks = [e for e in others if isinstance(e, ValuesBlock)] if patterns else ()
+        if blocks:
+            # A VALUES block over variables that every BGP solution binds
+            # (and nothing rebinds) only filters those solutions, and a
+            # filter commutes with the per-solution operators below — so
+            # it runs inside the pipeline instead of after it.
+            free = set().union(*[p.variables() for p in patterns]).difference(
+                initial, [e.variable for e in others if isinstance(e, BindElement)]
+            )
+            blocks = [block for block in blocks if _is_semi_join(block, free)]
+            others = [e for e in others if e not in blocks]
         solutions: Iterable[Binding] = (
-            self._evaluate_bgp(patterns, initial) if patterns else [dict(initial)]
+            self._evaluate_bgp_values(patterns, initial, blocks) if blocks
+            else self._evaluate_bgp(patterns, initial) if patterns
+            else [dict(initial)]
         )
         for element in others:
             solutions = self._apply_element(element, solutions)
         if group.filters:
             solutions = self._apply_filters(group.filters, solutions)
-        return iter(solutions) if not isinstance(solutions, Iterator) else solutions
+        return iter(solutions)
 
     def _apply_element(self, element, solutions: Iterable[Binding]) -> Iterator[Binding]:
         if isinstance(element, OptionalPattern):
@@ -249,9 +268,56 @@ class Evaluator:
     def _apply_filters(
         self, filters: List[Expression], solutions: Iterable[Binding]
     ) -> Iterator[Binding]:
-        for binding in solutions:
-            if all(f.effective_boolean(binding, self) for f in filters):
-                yield binding
+        """A conjunction, so the order filters run in cannot change the
+        answer: ordinary expressions row by row, then each top-level
+        ``(NOT) EXISTS`` over a plain BGP as its own batch stage."""
+        plain = [f for f in filters if not _is_bgp_exists(f)]
+        if plain:
+            solutions = (
+                binding for binding in solutions
+                if all(f.effective_boolean(binding, self) for f in plain)
+            )
+        for expr in filter(_is_bgp_exists, filters):
+            solutions = self._exists_filter(expr, solutions)
+        return solutions
+
+    def _exists_filter(self, expr: ExistsExpr, solutions: Iterable[Binding]) -> Iterator[Binding]:
+        """``FILTER (NOT) EXISTS { patterns }`` a batch at a time.
+
+        Pulls at most ``batch_size`` solutions, partitions them by which
+        body variables they bind (OPTIONAL can leave some unbound), and
+        per partition seeds **one** pipeline run with the distinct
+        correlated keys (looked up, never interned: an unknown value
+        cannot match), reading the matched keys off the output rows'
+        leading bound slots until every key has matched.  Survivors
+        leave in input order.
+        """
+        patterns = expr.group.elements
+        body_vars = frozenset().union(*[p.variables() for p in patterns])
+        lookup = self.store.dictionary.lookup
+        solutions = iter(solutions)
+        while chunk := list(islice(solutions, self.batch_size)):
+            partitions: Dict[FrozenSet[Variable], List[int]] = {}
+            for position, binding in enumerate(chunk):
+                partitions.setdefault(body_vars.intersection(binding), []).append(position)
+            found = [False] * len(chunk)
+            for bound, positions in partitions.items():
+                plan = self.plan_for(patterns, bound)
+                width = plan.bound_slots
+                correlated = plan.slot_vars[:width]
+                waiting: Dict[tuple, List[int]] = {}
+                for position in positions:
+                    key = tuple([lookup(chunk[position][v]) for v in correlated])
+                    if None not in key:
+                        waiting.setdefault(key, []).append(position)
+                free = [None] * (len(plan.slot_vars) - width)
+                seeds = [list(key) + free for key in waiting]
+                for ids in plan.execute_ids(self.store, seeds, self.stats, self.batch_size):
+                    for position in waiting.pop(tuple(ids[:width]), ()):
+                        found[position] = True
+                    if not waiting:
+                        break
+            yield from compress(chunk, [hit != expr.negated for hit in found])
 
     # ------------------------------------------------------------------
     # Basic graph patterns
@@ -271,18 +337,37 @@ class Evaluator:
         never encoded at all.  Pure-BGP SELECTs skip even this via
         :meth:`_select_bgp_fast`.
         """
+        return self._evaluate_bgp_values(patterns, initial, ())
+
+    def _evaluate_bgp_values(
+        self, patterns: List[TriplePattern], initial: Binding, blocks: Sequence[ValuesBlock]
+    ) -> Iterator[Binding]:
+        """:meth:`_evaluate_bgp` semi-joined with ``blocks`` (VALUES
+        blocks :func:`_is_semi_join` accepted).  Same plan: each block's
+        rows are looked up (never interned: a row naming an unknown term
+        just drops) into ID tuples over the plan's slots, and the
+        pipeline drops a row as soon as it binds a value no block has.
+        """
         plan = self.plan_for(patterns, frozenset(initial))
         dictionary = self.store.dictionary
+        lookup = dictionary.lookup
         slot_vars = plan.slot_vars
         row: List[Optional[int]] = [None] * len(slot_vars)
         for slot in range(plan.bound_slots):
-            tid = dictionary.lookup(initial[slot_vars[slot]])
+            tid = lookup(initial[slot_vars[slot]])
             if tid is None:
                 return
             row[slot] = tid
+        restrict = []
+        for block in blocks:
+            keys = {tuple(map(lookup, cells)) for cells in block.rows}
+            keys = {key for key in keys if None not in key}
+            if not keys:
+                return
+            restrict.append((tuple([slot_vars.index(v) for v in block.variables]), keys))
         decode = dictionary.decode
         free = list(enumerate(slot_vars))[plan.bound_slots:]
-        for ids in plan.execute_ids(self.store, [row], self.stats, self.batch_size):
+        for ids in plan.execute_ids(self.store, [row], self.stats, self.batch_size, restrict):
             binding = dict(initial)
             for slot, variable in free:
                 binding[variable] = decode(ids[slot])
@@ -335,38 +420,19 @@ class Evaluator:
     def _values_join(
         self, values: ValuesBlock, solutions: Iterable[Binding]
     ) -> Iterator[Binding]:
-        for binding in solutions:
-            for row in values.rows:
-                extended = dict(binding)
-                compatible = True
-                for variable, cell in zip(values.variables, row):
-                    if cell is None:
-                        continue
-                    bound = extended.get(variable)
-                    if bound is None:
-                        extended[variable] = cell
-                    elif bound != cell:
-                        compatible = False
-                        break
-                if compatible:
-                    yield extended
+        rows = []
+        for cells in values.rows:
+            row: Binding = {}
+            for variable, cell in zip(values.variables, cells):
+                # UNDEF binds nothing; a repeated header variable must agree
+                if cell is not None and row.setdefault(variable, cell) != cell:
+                    break
+            else:
+                rows.append(row)
+        return _hash_join(solutions, rows)
 
     def _subselect_join(self, query: Query, solutions: Iterable[Binding]) -> Iterator[Binding]:
-        inner = self.select(query)
-        inner_rows = list(inner.bindings())
-        for binding in solutions:
-            for inner_binding in inner_rows:
-                extended = dict(binding)
-                compatible = True
-                for variable, value in inner_binding.items():
-                    bound = extended.get(variable)
-                    if bound is None:
-                        extended[variable] = value
-                    elif bound != value:
-                        compatible = False
-                        break
-                if compatible:
-                    yield extended
+        yield from _hash_join(solutions, list(self.select(query).bindings()))
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -382,6 +448,48 @@ class Evaluator:
                 "non-aggregated SELECT variables require GROUP BY"
             )
         return aggregate_solutions(group_by, query.aggregates, solutions)
+
+
+def _is_semi_join(block: ValuesBlock, free: set) -> bool:
+    """Joining ``block`` can neither bind anything nor multiply a solution:
+    the BGP alone binds its variables (``free``), no UNDEF, no repeated row."""
+    return (
+        bool(block.variables)
+        and free.issuperset(block.variables)
+        and len(set(map(tuple, block.rows))) == len(block.rows)
+        and not any(None in cells for cells in block.rows)
+    )
+
+
+def _is_bgp_exists(expr: Expression) -> bool:
+    """A top-level ``(NOT) EXISTS`` whose body is only triple patterns."""
+    if not isinstance(expr, ExistsExpr) or expr.group.filters or not expr.group.elements:
+        return False
+    return all(isinstance(e, TriplePattern) for e in expr.group.elements)
+
+
+def _hash_join(solutions: Iterable[Binding], rows: List[Binding]) -> Iterator[Binding]:
+    """Every compatible merge of a solution with a row, solution-major
+    and row-minor.  Rows are hashed on the variables all of them bind
+    that the solution binds too (one index per such set, built on first
+    use); a hit is then checked on whatever else the two share, so UNDEF
+    / unbound cells stay correct.  A solution sharing no such variable
+    scans every row."""
+    common = sorted(set(rows[0]).intersection(*rows[1:]) if rows else (), key=lambda v: v.name)
+    indexes: Dict[Tuple[Variable, ...], Dict[tuple, List[Binding]]] = {}
+    for binding in solutions:
+        shared = tuple([v for v in common if v in binding])
+        index = indexes.get(shared)
+        if index is None:
+            index = indexes[shared] = {}
+            for row in rows:
+                index.setdefault(tuple([row[v] for v in shared]), []).append(row)
+        for row in index.get(tuple([binding[v] for v in shared]), ()):
+            for variable, value in row.items():
+                if binding.get(variable, value) != value:
+                    break
+            else:
+                yield {**binding, **row}
 
 
 def _order(result, order_by: List[Tuple[Variable, bool]]):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.term import Variable
@@ -247,23 +248,54 @@ class BGPPlan:
         rows: Iterable[List[Optional[int]]],
         stats: EvaluatorStats = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        restrict: Sequence[Tuple[Tuple[int, ...], set]] = (),
     ) -> Iterator[List[Optional[int]]]:
         """Push slot-mapped ID rows through every pattern.
 
         ``rows`` are lists of interned IDs (or ``None``) aligned to
         :attr:`slot_vars`; output rows are fully extended copies in the
         same layout.  The entire pipeline hashes machine integers.
+
+        Each ``(slots, keys)`` in ``restrict`` is a semi-join: only rows
+        whose IDs at the (free) ``slots`` form a tuple in ``keys``
+        survive.  A row is dropped right after the stage that first
+        binds a restricted slot (per slot against that column of
+        ``keys``, then against the whole tuples) so later stages never
+        extend it.  Pattern order is untouched and a filter keeps stream
+        order: while every stage's input fits one chunk the output is
+        the unrestricted pipeline's, filtered, in its order.  Past that
+        the filter moves chunk boundaries (stages regroup per chunk):
+        the same rows, ordered as they might be at another batch size.
         """
         if stats is not None:
             stats.patterns_evaluated += len(self.order)
         if self.stages is None:
             return iter(())
+        filters = self._semi_join_filters(restrict) if restrict else {}
         stream: Iterator[List[Optional[int]]] = iter(rows)
-        for stage in self.stages:
+        for index, stage in enumerate(self.stages):
             stream = _id_stage(store, stage, stream, stats, batch_size)
+            for keep in filters.get(index, ()):
+                stream = filter(keep, stream)
         if stats is None:
             return stream
         return _count_rows(stream, stats)
+
+    def _semi_join_filters(self, restrict) -> Dict[int, list]:
+        """``restrict`` as row predicates per stage index (each applies
+        to that stage's output)."""
+        bound_at = {slot: i for i, stage in enumerate(self.stages) for _, slot in stage[3]}
+        filters: Dict[int, list] = {}
+        for slots, keys in restrict:
+            parts = [((s,), {key[i] for key in keys}) for i, s in enumerate(slots)]
+            if len(slots) > 1:
+                parts.append((slots, keys))
+            for part, allowed in parts:
+                # itemgetter: the bare ID for one slot, a tuple for several
+                filters.setdefault(max(bound_at[s] for s in part), []).append(
+                    lambda row, at=itemgetter(*part), allowed=allowed: at(row) in allowed
+                )
+        return filters
 
 
 def _count_rows(stream: Iterator, stats: EvaluatorStats) -> Iterator:

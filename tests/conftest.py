@@ -15,11 +15,22 @@ The paper's query Q_a over this federation has exactly three answers:
 (Kim, Joy, CMU, "CCCC"), (Kim, Tim, MIT, "XXX"), (Lee, Ben, MIT, "XXX").
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import Federation
 from repro.rdf import parse as nt_parse
+
+# `HYPOTHESIS_PROFILE=ci` deepens the property tests that size
+# themselves from the loaded profile (test_property_evaluator_reference);
+# unset, Hypothesis's own default profile stays loaded and tier-1 keeps
+# its per-test example counts.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 UB = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"

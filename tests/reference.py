@@ -5,26 +5,36 @@ as alternative *modes* lives here as oracles instead:
 
 - :func:`reference_bgp` — exhaustive nested-loop join over
   ``store.triples()``: no indexes, no join ordering, no shortcuts;
-- :class:`SeedEvaluator` — the seed's per-binding recursive joiner, which
-  re-orders the remaining patterns by ``store.count`` for every
-  intermediate binding and matches through the term-level
-  ``store.match`` surface.  Everything above the BGP (OPTIONAL, MINUS,
-  FILTER EXISTS, sub-SELECT, aggregation) is the production evaluator's
-  code, so a differential against it isolates the planned ID pipeline.
+- :class:`RowAtATimeEvaluator` — the planned BGP pipeline with
+  everything above it done one solution at a time: VALUES and
+  sub-SELECTs joined by a nested loop after the unbound BGP, ``FILTER
+  (NOT) EXISTS`` asked once per row, LIMIT applied to the fully
+  materialised answer.  This is the **order** oracle: production's
+  semi-join / batched-EXISTS / early-LIMIT paths must return its rows in
+  its order, and it overrides group evaluation wholesale so it never
+  runs the code it checks;
+- :class:`SeedEvaluator` — the same, with the seed's per-binding
+  recursive joiner under it, which re-orders the remaining patterns by
+  ``store.count`` for every intermediate binding and matches through
+  the term-level ``store.match`` surface.  OPTIONAL, UNION, MINUS, BIND
+  and aggregation are the production evaluator's code.
 
 - :func:`union_graph_answer` — the federated contract itself: the
   query evaluated by :class:`SeedEvaluator` over the union of every
   endpoint's triples.  What used to be checked scheduler-mode against
   scheduler-mode is checked against this.
 
-None promises a row *order*: compare as multisets (``rows_multiset``).
-Order is pinned separately by the golden test in ``test_public_surface``.
+Only :class:`RowAtATimeEvaluator` promises a row *order*; compare the
+others as multisets (``rows_multiset``).  Federated order is pinned
+separately by the golden test in ``test_public_surface``.
 """
 
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Set
 
 from repro.rdf import Triple, TriplePattern, Variable
 from repro.sparql import Evaluator, parse_query
+from repro.sparql.results import ResultSet
 from repro.store import TripleStore
 
 Binding = Dict[Variable, object]
@@ -69,8 +79,61 @@ def rows_multiset(result):
     )
 
 
-class SeedEvaluator(Evaluator):
-    """The production evaluator with the seed's BGP joiner swapped in."""
+def _merge_compatible(solutions: Iterable[Binding], rows: List[list]) -> Iterator[Binding]:
+    """Every compatible (solution, row) merge by nested loop,
+    solution-major and row-minor; a row is its ``(variable, value)``
+    pairs (a VALUES header may repeat a variable)."""
+    for binding in solutions:
+        for row in rows:
+            extended = dict(binding)
+            for variable, value in row:
+                if extended.setdefault(variable, value) != value:
+                    break
+            else:
+                yield extended
+
+
+class RowAtATimeEvaluator(Evaluator):
+    """The planned BGP pipeline; everything above it row at a time."""
+
+    def select(self, query):
+        if query.limit is None or query.aggregates or query.group_by:
+            return super().select(query)
+        full = super().select(replace(query, limit=None, offset=0))
+        end = query.offset + query.limit
+        return ResultSet(full.variables, full.rows[query.offset:end])
+
+    def _evaluate_group(self, group, initial: Binding) -> Iterator[Binding]:
+        patterns = [e for e in group.elements if isinstance(e, TriplePattern)]
+        solutions: Iterable[Binding] = (
+            self._evaluate_bgp(patterns, initial) if patterns else [dict(initial)]
+        )
+        for element in group.elements:
+            if not isinstance(element, TriplePattern):
+                solutions = self._apply_element(element, solutions)
+        if group.filters:
+            solutions = self._apply_filters(group.filters, solutions)
+        return iter(solutions)
+
+    def _apply_filters(self, filters, solutions) -> Iterator[Binding]:
+        for binding in solutions:
+            if all(f.effective_boolean(binding, self) for f in filters):
+                yield binding
+
+    def _values_join(self, values, solutions) -> Iterator[Binding]:
+        rows = [
+            [(v, cell) for v, cell in zip(values.variables, row) if cell is not None]
+            for row in values.rows
+        ]
+        return _merge_compatible(solutions, rows)
+
+    def _subselect_join(self, query, solutions) -> Iterator[Binding]:
+        rows = [list(b.items()) for b in self.select(query).bindings()]
+        return _merge_compatible(solutions, rows)
+
+
+class SeedEvaluator(RowAtATimeEvaluator):
+    """The row-at-a-time evaluator with the seed's BGP joiner swapped in."""
 
     def _select_bgp_fast(self, query):
         # the decode-once shortcut runs the planned pipeline itself;

@@ -136,6 +136,46 @@ class TestEndpointSerialization:
         billed_batches = sum(d.get("batches", 0) for d in deltas)
         assert billed_batches == total.batches
 
+    def test_batch_paths_bill_each_request_its_own_work(self):
+        """A LIMIT that stops pulling leaves a suspended pipeline behind
+        and an EXISTS stage runs a second one inside the first: neither
+        may leak work into another request's stats window.  Every
+        response's counters equal the ones the same query costs alone."""
+        checks = f"SELECT ?s WHERE {{ ?s <{UB}advisor> ?o . " \
+            f"FILTER NOT EXISTS {{ ?s <{UB}takesCourse> ?c }} }} LIMIT 1"
+        survivor = f"SELECT ?p WHERE {{ ?p <{UB}PhDDegreeFrom> ?u . " \
+            f"FILTER NOT EXISTS {{ ?p <{UB}takesCourse> ?c }} }} LIMIT 1"
+        bound = f"SELECT ?s ?c WHERE {{ VALUES ?s {{ <http://mit.edu/Lee> " \
+            f"<http://never/seen> }} ?s <{UB}advisor> ?p . " \
+            f"?p <{UB}teacherOf> ?c }}"
+        queries = (checks, survivor, bound)
+        counters = ("patterns_evaluated", "batches", "intermediate_rows")
+
+        def cost(response):
+            return tuple(response.compute.get(name, 0) for name in counters)
+
+        alone = LocalEndpoint.from_triples("ep1", nt_parse(EP1_TRIPLES))
+        expected = {q: cost(alone.execute(q)) for q in queries}
+        assert all(expected[q][2] for q in queries)
+
+        endpoint = LocalEndpoint.from_triples("ep1", nt_parse(EP1_TRIPLES))
+        billed = []
+        lock = threading.Lock()
+
+        def worker(index):
+            for round_ in range(30):
+                query = queries[(index + round_) % len(queries)]
+                response = endpoint.execute(query)
+                assert cost(response) == expected[query]
+                with lock:
+                    billed.append(cost(response))
+
+        _hammer(worker)
+        total = endpoint._evaluator.stats
+        assert tuple(map(sum, zip(*billed))) == tuple(
+            getattr(total, name) for name in counters
+        )
+
     def test_shared_engine_concurrent_queries_agree(self):
         """One engine, one federation, 8 threads: every answer exact."""
         federation = build_paper_federation()

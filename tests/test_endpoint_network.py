@@ -50,6 +50,25 @@ class TestLocalEndpoint:
         endpoint.execute(text)  # served from cache; same result
         assert len(endpoint.execute(text).value) == 1
 
+    def test_parse_cache_is_bounded_by_text_not_entries(self, endpoint):
+        """A stream of one-shot bound VALUES requests (kilobytes each)
+        must not pile up ASTs: the cache holds a fixed budget of query
+        text and drops the least recently used — never the hot probe."""
+        from repro.endpoint.local import _PARSE_CACHE_TEXT_BYTES
+
+        hot = "ASK { ?s <http://ub/advisor> ?o }"
+        block = " ".join(f"<http://u/student{i}>" for i in range(200))
+        for round_ in range(120):
+            assert endpoint.execute(hot).value is True
+            endpoint.execute(
+                f"SELECT ?s WHERE {{ VALUES ?s {{ {block} <http://u/r{round_}> }} "
+                "?s <http://ub/advisor> ?o }"
+            )
+        cached = sum(len(text) for text in endpoint._parse_cache)
+        assert cached == endpoint._parse_cache_bytes <= _PARSE_CACHE_TEXT_BYTES
+        assert 2 <= len(endpoint._parse_cache) < 120
+        assert hot in endpoint._parse_cache
+
     def test_rate_limit(self):
         endpoint = LocalEndpoint.from_triples(
             "ep", nt_parse(DATA), max_requests_per_query=2

@@ -7,18 +7,48 @@ joiner is the recursive per-binding evaluator the planned pipeline
 replaced.  Hypothesis generates small random stores and random BGPs
 (with repeated variables and constants) and the implementations must
 agree exactly.
+
+The ``VALUES`` and ``FILTER (NOT) EXISTS`` generators at the bottom pin
+the endpoint's batch paths twice over: as a multiset against the seed
+joiner, and **row for row in order** against the row-at-a-time
+evaluator (``RowAtATimeEvaluator``), which joins VALUES after the
+unbound BGP, asks EXISTS once per row and slices LIMIT off the fully
+materialised answer.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import IRI, Triple, TriplePattern, Variable
 from repro.sparql import Evaluator
-from repro.sparql.ast import GroupPattern, MinusPattern, OptionalPattern, Query
-from repro.sparql.expressions import ExistsExpr
+from repro.sparql.ast import (
+    GroupPattern,
+    MinusPattern,
+    OptionalPattern,
+    Query,
+    ValuesBlock,
+)
+from repro.sparql.expressions import CompareExpr, ExistsExpr, TermExpr
 from repro.store import TripleStore
 
-from .reference import SeedEvaluator, reference_bgp, rows_multiset
+from .reference import (
+    RowAtATimeEvaluator,
+    SeedEvaluator,
+    reference_bgp,
+    rows_multiset,
+)
+
+
+
+def _examples(tier1: int):
+    """``tier1`` examples normally; the loaded profile's count when it
+    asks for more (``HYPOTHESIS_PROFILE=ci``, see ``conftest.py``)."""
+    return settings(
+        max_examples=max(tier1, settings().max_examples), deadline=None
+    )
+
 
 _TERMS = [IRI(f"http://x/t{i}") for i in range(4)]
 _VARIABLES = [Variable(name) for name in ("a", "b", "c")]
@@ -33,7 +63,7 @@ _pattern_terms = st.one_of(st.sampled_from(_TERMS), st.sampled_from(_VARIABLES))
 _patterns = st.builds(TriplePattern, _pattern_terms, _pattern_terms, _pattern_terms)
 
 
-@settings(max_examples=120, deadline=None)
+@_examples(120)
 @given(
     st.lists(_triples, max_size=12),
     st.lists(_patterns, min_size=1, max_size=3),
@@ -56,7 +86,7 @@ def test_evaluator_matches_reference(triples, patterns):
     assert actual == reference
 
 
-@settings(max_examples=120, deadline=None)
+@_examples(120)
 @given(
     st.lists(_triples, max_size=12),
     st.lists(_patterns, min_size=1, max_size=4),
@@ -94,7 +124,7 @@ def _composite_groups(draw):
     return GroupPattern(elements=elements, filters=filters)
 
 
-@settings(max_examples=120, deadline=None)
+@_examples(120)
 @given(st.lists(_triples, max_size=12), _composite_groups())
 def test_planned_executor_matches_seed_on_composite_groups(triples, group):
     """Differential proof over OPTIONAL, MINUS, and FILTER [NOT] EXISTS:
@@ -108,7 +138,7 @@ def test_planned_executor_matches_seed_on_composite_groups(triples, group):
     assert seed.stats.plans_built == 0
 
 
-@settings(max_examples=60, deadline=None)
+@_examples(100)
 @given(
     st.lists(_triples, max_size=12),
     st.lists(_patterns, min_size=1, max_size=2),
@@ -119,3 +149,150 @@ def test_ask_agrees_with_select(triples, patterns):
     ask = Query(form="ASK", where=GroupPattern(elements=list(patterns)))
     evaluator = Evaluator(store)
     assert evaluator.ask(ask) == bool(len(evaluator.select(query)))
+
+
+# ----------------------------------------------------------------------
+# VALUES and FILTER (NOT) EXISTS: multiset vs the seed joiner, order vs
+# the row-at-a-time evaluator
+# ----------------------------------------------------------------------
+
+#: a constant no generated store contains (queries must not intern it)
+_ABSENT = IRI("http://x/absent")
+#: a variable no base BGP mentions
+_UNMENTIONED = Variable("d")
+#: a variable only OPTIONAL bodies mention (free there whatever the
+#: outer solution binds)
+_INNER = Variable("e")
+_inner_terms = st.one_of(
+    st.sampled_from(_TERMS), st.sampled_from(_VARIABLES + [_INNER] * 2)
+)
+_inner_patterns = st.builds(
+    TriplePattern, _inner_terms, _inner_terms, _inner_terms
+)
+
+
+@st.composite
+def _values_blocks(draw, pool=_VARIABLES * 3 + [_UNMENTIONED]):
+    """1-2 variables (sometimes one the BGP never mentions, sometimes
+    the same one twice); half the blocks are all-bound and duplicate-free
+    (the shape the pipeline takes as a semi-join), the rest mix in UNDEF
+    cells, a term the store has never seen, and repeated rows."""
+    variables = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    clean = draw(st.booleans())
+    cells = st.sampled_from(
+        _TERMS if clean else _TERMS[:2] + [_ABSENT, None]
+    )
+    rows = draw(st.lists(
+        st.tuples(*[cells] * len(variables)), max_size=4, unique=clean
+    ))
+    return ValuesBlock(variables=variables, rows=rows)
+
+
+@st.composite
+def _values_groups(draw):
+    """A BGP with one or two VALUES blocks, before and after an OPTIONAL
+    (whose body may carry its own block, over variables the outer
+    solution already binds or its own)."""
+    others = list(draw(st.lists(_values_blocks(), min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        inner = list(draw(st.lists(_inner_patterns, min_size=1, max_size=2)))
+        if draw(st.booleans()):
+            inner.append(draw(_values_blocks([_INNER] * 4 + _VARIABLES)))
+        others.append(OptionalPattern(group=GroupPattern(elements=inner)))
+    # at most three patterns: every stage's input then fits one default
+    # batch (12 -> 144 rows), which is where order is pinned exactly
+    elements = list(draw(st.lists(_patterns, min_size=1, max_size=3)))
+    elements += draw(st.permutations(others))
+    return GroupPattern(elements=draw(st.permutations(elements)))
+
+
+def _assert_same_rows_same_order(store, query, batch_size=256):
+    """(i) multiset-equal to the seed joiner without the slice (its BGP
+    order differs, so a LIMIT would cut elsewhere), (ii) row for row
+    equal to the row-at-a-time evaluator, slice included."""
+    whole = replace(query, limit=None, offset=0)
+    seed = SeedEvaluator(store)
+    assert rows_multiset(Evaluator(store, batch_size).select(whole)) == (
+        rows_multiset(seed.select(whole))
+    )
+    assert seed.stats.plans_built == 0
+    expected = RowAtATimeEvaluator(store, batch_size).select(query)
+    actual = Evaluator(store, batch_size).select(query)
+    assert actual.variables == expected.variables
+    assert actual.rows == expected.rows
+
+
+@_examples(200)
+@given(st.lists(_triples, max_size=12), _values_groups(), st.booleans())
+def test_values_blocks_match_row_at_a_time(triples, group, distinct):
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    query = Query(form="SELECT", where=group, distinct=distinct)
+    _assert_same_rows_same_order(store, query)
+    # with several chunks per stage the semi-join moves chunk boundaries
+    # (the pipeline regroups per chunk), so only the multiset is promised
+    assert rows_multiset(Evaluator(store, batch_size=2).select(query)) == (
+        rows_multiset(SeedEvaluator(store).select(query))
+    )
+    assert len(store.dictionary) == size
+
+
+_exists_terms = st.one_of(
+    st.sampled_from(_TERMS + [_ABSENT]),
+    st.sampled_from(_VARIABLES + [_UNMENTIONED]),
+)
+_exists_bodies = st.lists(
+    st.builds(TriplePattern, _exists_terms, _exists_terms, _exists_terms),
+    min_size=1, max_size=2,
+)
+
+
+@st.composite
+def _exists_queries(draw):
+    """One or two (NOT) EXISTS filters with 1-2-pattern bodies
+    (correlated, uncorrelated, or naming an unknown constant), maybe an
+    ordinary filter between them, an OPTIONAL that leaves outer
+    variables unbound in some rows, and maybe LIMIT / OFFSET."""
+    elements = list(draw(st.lists(_patterns, min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        elements.append(OptionalPattern(group=GroupPattern(
+            elements=[draw(_patterns)]
+        )))
+    filters = [
+        ExistsExpr(
+            group=GroupPattern(elements=list(body)),
+            negated=draw(st.booleans()),
+        )
+        for body in draw(st.lists(_exists_bodies, min_size=1, max_size=2))
+    ]
+    if draw(st.booleans()):
+        filters.insert(draw(st.integers(0, len(filters))), CompareExpr(
+            "!=",
+            TermExpr(draw(st.sampled_from(_VARIABLES))),
+            TermExpr(draw(st.sampled_from(_TERMS))),
+        ))
+    return Query(
+        form="SELECT",
+        where=GroupPattern(elements=elements, filters=filters),
+        limit=draw(st.one_of(st.none(), st.integers(0, 3))),
+        offset=draw(st.integers(0, 2)),
+    )
+
+
+@_examples(200)
+@given(
+    st.lists(_triples, max_size=12),
+    _exists_queries(),
+    st.sampled_from([1, 2, 256]),
+)
+def test_exists_filters_match_row_at_a_time(triples, query, batch_size):
+    """The EXISTS stage keeps its input order whatever the chunking, so
+    order is pinned at every batch size."""
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    _assert_same_rows_same_order(store, query, batch_size)
+    ask = Query(form="ASK", where=query.where)
+    assert Evaluator(store, batch_size).ask(ask) == (
+        RowAtATimeEvaluator(store, batch_size).ask(ask)
+    )
+    assert len(store.dictionary) == size

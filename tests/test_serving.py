@@ -10,6 +10,7 @@ pin the reserve-protecting fair-share admission invariants.
 
 import contextlib
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -24,6 +25,7 @@ from repro.rdf import parse as nt_parse
 from repro.serving import (
     SPARQL_RESULTS_JSON,
     QuerySessionManager,
+    SparqlRequestHandler,
     TenantClass,
     UnknownTenantError,
     boolean_document,
@@ -232,6 +234,60 @@ class TestServerEndToEnd:
         assert json.loads(body) == expected
         assert result_values(parse_results_document(json.loads(body))) \
             == QA_EXPECTED
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_each_chunk_is_one_write_on_a_nodelay_socket(self, streamed):
+        """A response used to leave as three unbuffered writes per chunk
+        on a Nagle socket: every one after the first waited ~40 ms for
+        the client's delayed ACK.  Counted, not timed."""
+        observed = {}
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                observed["writes"].append(bytes(data))
+                return self.raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        class Recording(SparqlRequestHandler):
+            def setup(self):
+                super().setup()
+                observed["nodelay"] = self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                observed["writes"] = []
+                self.wfile = CountingWriter(self.wfile)
+
+        federation = build_paper_federation()
+        direct = LusailEngine(federation).execute(QUERY_QA)
+        with serve(federation) as (server, _manager):
+            server.RequestHandlerClass = Recording
+            server.chunk_rows = 1
+            if streamed:
+                status, _headers, arrivals = _read_streamed(server, QUERY_QA)
+                body = b"".join(arrivals)
+            else:
+                status, _headers, body = http(sparql_url(server, QUERY_QA))
+        assert status == 200
+        assert result_values(parse_results_document(json.loads(body))) \
+            == result_values(direct.result)
+        assert observed["nodelay"]
+        payload = [w for w in observed["writes"] if not w.startswith(b"HTTP/")]
+        # every write is whole chunks: "<hex size>\r\n<payload>\r\n"
+        chunks = 0
+        for write in payload:
+            while write:
+                size, _, rest = write.partition(b"\r\n")
+                assert rest[int(size, 16):][:2] == b"\r\n"
+                write = rest[int(size, 16) + 2:]
+                chunks += 1
+        # one write per piece, the terminating zero chunk, the headers
+        assert chunks >= 4
+        assert len(observed["writes"]) <= (chunks - 1) + 2
 
     def test_typed_terms_survive_the_wire(self):
         """Language tags, typed literals, bnodes, and unbound OPTIONAL

@@ -228,3 +228,67 @@ class TestAsk:
         assert evaluator.ask(
             parse_query("ASK { <http://u/kim> <http://ub/advisor> ?o }")
         )
+
+
+class TestBatchPathContracts:
+    """What the endpoint's batch paths (VALUES as a semi-join inside the
+    pipeline, FILTER (NOT) EXISTS per batch, LIMIT that stops pulling)
+    must keep, asserted on counters — never on a clock."""
+
+    ADVISES_AND_TEACHES = (
+        "?s <http://ub/advisor> ?p . ?p <http://ub/teacherOf> ?c"
+    )
+
+    def test_queries_never_intern(self):
+        store = TripleStore(nt_parse(DATA))
+        evaluator = Evaluator(store)
+        size = len(store.dictionary)
+        # a semi-join block naming one term the store has never seen
+        bound = rows(
+            evaluator,
+            "SELECT ?s ?c WHERE { VALUES ?p { <http://never/seen> <http://u/tim> } "
+            + self.ADVISES_AND_TEACHES + " }",
+        )
+        assert [(r[0].value, r[1].value) for r in bound] == [
+            ("http://u/kim", "http://u/c1")
+        ]
+        # an EXISTS stage seeded with an outer value the store has never seen
+        seeded = rows(
+            evaluator,
+            "SELECT ?x WHERE { VALUES ?x { <http://never/seen> <http://u/ben> } "
+            "FILTER EXISTS { ?x <http://ub/teacherOf> ?c } }",
+        )
+        assert [r[0].value for r in seeded] == ["http://u/ben"]
+        assert len(store.dictionary) == size
+
+    @pytest.mark.parametrize("form", ["ask", "limit"])
+    def test_a_check_query_stops_after_its_first_chunk(self, form):
+        """A Figure-5 check whose first chunk holds a survivor touches a
+        small multiple of ``batch_size`` rows, not all 10 000."""
+        lines = [f"<http://u/s{i}> <http://ub/p> <http://u/o> ." for i in range(10_000)]
+        lines += [f"<http://u/s{i}> <http://ub/q> <http://u/z> ." for i in range(0, 10_000, 2)]
+        evaluator = Evaluator(TripleStore(nt_parse("\n".join(lines))))
+        where = (
+            "{ ?s <http://ub/p> <http://u/o> . "
+            "FILTER NOT EXISTS { ?s <http://ub/q> ?z } }"
+        )
+        if form == "ask":
+            assert evaluator.ask(parse_query("ASK " + where))
+        else:
+            found = rows(evaluator, "SELECT ?s WHERE " + where + " LIMIT 1")
+            assert len(found) == 1
+        assert evaluator.stats.intermediate_rows <= 4 * evaluator.batch_size
+
+    def test_a_values_block_cuts_the_pipeline_not_just_the_answer(self):
+        def touched(text):
+            evaluator = Evaluator(TripleStore(nt_parse(DATA)))
+            result = rows(evaluator, text)
+            return len(result), evaluator.stats.intermediate_rows
+
+        unbound = touched("SELECT * WHERE { " + self.ADVISES_AND_TEACHES + " }")
+        bound = touched(
+            "SELECT * WHERE { VALUES ?s { <http://u/kim> } "
+            + self.ADVISES_AND_TEACHES + " }"
+        )
+        assert (unbound[0], bound[0]) == (2, 1)
+        assert bound[1] < unbound[1]
