@@ -2,9 +2,10 @@
 
 Each ``bench_*`` file regenerates one of the paper's tables or figures:
 it runs the corresponding experiment once under pytest-benchmark, prints
-the paper-style table, appends it to ``benchmarks/results/summary.txt``,
-and asserts the *shape* of the result (who wins, what fails) rather than
-absolute numbers.
+the paper-style table, appends it to ``benchmarks/results/summary.txt``
+(this session's tables only — untracked scratch; EXPERIMENTS.md is the
+record), and asserts the *shape* of the result (who wins, what fails)
+rather than absolute numbers.
 """
 
 from __future__ import annotations

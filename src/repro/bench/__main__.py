@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.bench --experiment fig9
     python -m repro.bench --experiment fig10 --scale 0.5
-    python -m repro.bench --experiment federation --check
     python -m repro.bench --list
 """
 
@@ -14,9 +13,6 @@ import argparse
 import sys
 
 from . import experiments
-from . import federation_bench
-from . import resilience_bench
-from . import serving_bench
 from .reporting import format_runs, format_table
 
 
@@ -36,49 +32,8 @@ def main(argv=None) -> int:
                         help="LargeRDFBench-mini scale factor")
     parser.add_argument("--timeout", type=float, default=3600.0,
                         help="virtual-time budget per query (seconds)")
-    parser.add_argument("--check", action="store_true",
-                        help="federation/resilience/wire-chaos/serving "
-                             "experiments only: fast smoke mode asserting "
-                             "the optimized path is active and its floor "
-                             "holds")
     parser.add_argument("--list", action="store_true", help="list experiments")
     args = parser.parse_args(argv)
-
-    def _run_federation():
-        payload = (
-            federation_bench.check()
-            if args.check
-            else federation_bench.run_federation()
-        )
-        print(federation_bench.format_report(payload))
-        print(f"wrote {federation_bench.write_results(payload)}")
-
-    def _run_resilience():
-        payload = (
-            resilience_bench.check()
-            if args.check
-            else resilience_bench.run_resilience()
-        )
-        print(resilience_bench.format_report(payload))
-        print(f"wrote {resilience_bench.write_results(payload)}")
-
-    def _run_wire_chaos():
-        payload = (
-            resilience_bench.check_wire_chaos()
-            if args.check
-            else resilience_bench.run_wire_chaos()
-        )
-        print(resilience_bench.format_wire_chaos_report(payload))
-        print(f"wrote {resilience_bench.write_results(payload, 'BENCH_wire_chaos.json')}")
-
-    def _run_serving():
-        payload = (
-            serving_bench.check()
-            if args.check
-            else serving_bench.run_serving()
-        )
-        print(serving_bench.format_report(payload))
-        print(f"wrote {serving_bench.write_results(payload)}")
 
     registry = {
         "table1": lambda: print(format_table(
@@ -139,10 +94,6 @@ def main(argv=None) -> int:
             ["benchmark", "query", "FedX", "LADE", "LADE+SAPE"],
             title="Figure 14: LADE / SAPE ablation",
         )),
-        "federation": _run_federation,
-        "resilience": _run_resilience,
-        "wire-chaos": _run_wire_chaos,
-        "serving": _run_serving,
         "qerror": lambda: print(format_table(
             [experiments.qerror_study(scale=args.scale)],
             ["subqueries_measured", "median_qerror", "max_qerror"],

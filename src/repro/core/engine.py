@@ -115,7 +115,6 @@ class LusailEngine:
         partial_results: bool = False,
         breaker: bool = True,
         hedge_threshold_seconds: Optional[float] = None,
-        result_cache: bool = True,
         reset_request_windows: bool = True,
     ):
         self.federation = federation
@@ -157,11 +156,11 @@ class LusailEngine:
         self.check_cache: Optional[ProbeCache] = ProbeCache() if use_cache else None
         self.count_cache: Optional[ProbeCache] = ProbeCache() if use_cache else None
         #: subquery result cache shared across this engine's queries:
-        #: (endpoint, store version, canonical subquery) -> relation.
-        #: ``result_cache=False`` is the ablation knob; ``use_cache=False``
-        #: (the paper's Fig. 12 cache knob) disables it with the rest
+        #: (endpoint, store version, canonical subquery) -> relation;
+        #: ``use_cache=False`` (the paper's Fig. 12 cache knob) disables
+        #: it with the rest
         self.result_cache: Optional[ResultCache] = (
-            ResultCache() if use_cache and result_cache else None
+            ResultCache() if use_cache else None
         )
         #: routes declared replicated fragments to their least-loaded
         #: copy; engine-lifetime so round-robin rotation and latency

@@ -1,6 +1,8 @@
-"""Benchmark datasets: LUBM, QFed, LargeRDFBench-mini, Bio2RDF-mini."""
+"""Benchmark datasets: LUBM, QFed, LargeRDFBench-mini, Bio2RDF-mini, and the
+directory workload."""
 
 from .bio2rdf import BIO2RDF_QUERIES, Bio2RdfGenerator
+from .directory import DIRECTORY_QUERY, build_directory_federation
 from .export import dump_federation, load_federation
 from .largerdfbench import ENDPOINT_IDS, LargeRdfBenchGenerator
 from .largerdfbench_queries import (
@@ -18,6 +20,7 @@ __all__ = [
     "BIO2RDF_QUERIES",
     "Bio2RdfGenerator",
     "COMPLEX_QUERIES",
+    "DIRECTORY_QUERY",
     "ENDPOINT_IDS",
     "LRB_QUERIES",
     "LUBM_QUERIES",
@@ -27,6 +30,7 @@ __all__ = [
     "QFedGenerator",
     "QUERY_CATEGORY",
     "SIMPLE_QUERIES",
+    "build_directory_federation",
     "dump_federation",
     "load_federation",
 ]

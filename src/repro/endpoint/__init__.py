@@ -27,16 +27,11 @@ from .network import (
     Region,
     WIDE_AREA,
 )
-
-from .chaos import ChaosProfile, ChaosProxy
-from .engine_backed import EngineEndpoint
 from .remote import RemoteEndpoint, federate_remotes
 
 __all__ = [
     "AZURE_GEO",
     "AZURE_REGIONS",
-    "ChaosProfile",
-    "ChaosProxy",
     "CircuitBreakerOpenError",
     "CompletenessReport",
     "EndpointConnectionError",
@@ -45,7 +40,6 @@ __all__ = [
     "EndpointThrottledError",
     "EndpointUnavailableError",
     "EndpointResponse",
-    "EngineEndpoint",
     "ExecutionContext",
     "RemoteEndpoint",
     "federate_remotes",

@@ -26,9 +26,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .base import EndpointResponse
-from .errors import EndpointProtocolError
-from .network import Region
+from repro.endpoint import EndpointProtocolError, EndpointResponse, Region
+from repro.serving.protocol import results_document
 
 
 class EngineEndpoint:
@@ -65,8 +64,6 @@ class EngineEndpoint:
         result = outcome.result
         # Charge what the serialized document would have weighed, so the
         # comparison against the HTTP path sees similar byte accounting.
-        from ..serving.protocol import results_document
-
         body = json.dumps(results_document(result)).encode("utf-8")
         return EndpointResponse(
             value=result,

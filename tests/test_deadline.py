@@ -10,9 +10,10 @@ The invariants under test:
 - per-request timeouts adapt to a warm endpoint's p95 × k, clamped
   between the floor and the static ceiling, and a cut request is
   charged exactly the censored timeout (never the stall it avoided);
-- hedged requests change nothing against a healthy primary and recover
-  the full answer against a stalled one, with honest win/cancel
-  accounting — bit-identically across execution modes;
+- hedged requests change nothing against a healthy primary, recover
+  the full answer against a stalled one and cut a 10x straggler's
+  makespan at least in half, with honest win/cancel accounting —
+  bit-identically across execution modes;
 - the :class:`AdmissionController` the serving layer sheds with keeps
   honest books;
 - a deadline-bounded query finishes within ``deadline + one request
@@ -32,6 +33,7 @@ from .conftest import (
     result_values,
 )
 from repro.core import LusailEngine
+from repro.datasets.lubm import LUBM_QUERIES
 from repro.endpoint import (
     FaultProfile,
     LOCAL_CLUSTER,
@@ -49,12 +51,25 @@ from repro.federation.request_handler import ElasticRequestHandler, Request
 from repro.rdf import IRI, Triple
 from repro.rdf import parse as nt_parse
 
+from .faulted import (
+    HEDGE_THRESHOLD_SECONDS,
+    STALL_SECONDS,
+    STRAGGLER_SPIKE_SECONDS,
+    victim_federation,
+)
+
 ASK_TEXT = (
     'ASK { ?s <http://swat.cse.lehigh.edu/onto/univ-bench.owl#advisor> ?o . }'
 )
 
 #: deterministic straggler: every request answers this much late
-STALL = FaultProfile(latency_spike_rate=1.0, latency_spike_seconds=1e6)
+STALL = FaultProfile(
+    latency_spike_rate=1.0, latency_spike_seconds=STALL_SECONDS
+)
+#: answers, but ~10x late
+STRAGGLER = FaultProfile(
+    latency_spike_rate=1.0, latency_spike_seconds=STRAGGLER_SPIKE_SECONDS
+)
 
 
 def _federation(ep1_profile=None, ep2_profile=None, replicate_ep2=False):
@@ -74,6 +89,26 @@ def _federation(ep1_profile=None, ep2_profile=None, replicate_ep2=False):
     if replicate_ep2:
         federation.register_replica("ep2", "ep2-replica")
     return federation
+
+
+#: name -> (builder(victim's fault profile, with standby replica), query):
+#: the paper's two-endpoint example and LUBM Q2 over two universities
+_VICTIM_WORKLOADS = {
+    "paper": (
+        lambda profile=None, replicate=False: _federation(
+            ep2_profile=profile, replicate_ep2=replicate
+        ),
+        QUERY_QA,
+    ),
+    "lubm": (victim_federation, LUBM_QUERIES["Q2"]),
+}
+
+
+def _fault_free_rows(workload):
+    build, query = _VICTIM_WORKLOADS[workload]
+    outcome = LusailEngine(build()).execute(query)
+    assert outcome.status == "OK", outcome.error
+    return result_values(outcome.result)
 
 
 def _handler(federation, **kwargs):
@@ -326,6 +361,31 @@ class TestHedging:
         # Each race costs trigger + replica latency, not the 1e6s stall.
         assert outcome.metrics.virtual_seconds < 10.0
 
+    @pytest.mark.parametrize("workload", sorted(_VICTIM_WORKLOADS))
+    def test_hedging_halves_a_stragglers_makespan(self, workload):
+        """Unhedged, the whole query waits on the slow lane; hedged,
+        every call past the threshold races the standby replica.  The
+        replica is registered in both runs (a spike is not a failure,
+        so it never triggers a reroute)."""
+        build, query = _VICTIM_WORKLOADS[workload]
+        unhedged = LusailEngine(build(STRAGGLER, True)).execute(query)
+        hedged = LusailEngine(
+            build(STRAGGLER, True),
+            hedge_threshold_seconds=HEDGE_THRESHOLD_SECONDS,
+        ).execute(query)
+        assert unhedged.status == hedged.status == "OK"
+        assert (
+            result_values(hedged.result)
+            == result_values(unhedged.result)
+            == _fault_free_rows(workload)
+        )
+        assert unhedged.metrics.hedges_launched == 0
+        assert hedged.metrics.hedges_won >= 1
+        assert (
+            2.0 * hedged.metrics.virtual_seconds
+            <= unhedged.metrics.virtual_seconds
+        )
+
     def test_hedging_without_replica_is_inert(self):
         engine = LusailEngine(
             _federation(),
@@ -388,32 +448,40 @@ class TestLoadShedding:
 
 class TestDeadlineExecution:
     def test_stalled_endpoint_degrades_to_partial_within_budget(self):
-        engine = LusailEngine(_federation(ep2_profile=STALL))
-        outcome = engine.execute(
-            QUERY_QA, deadline_seconds=1.0, trace=True
-        )
-        assert outcome.status == "PARTIAL"
-        assert result_values(outcome.result) <= QA_EXPECTED
-        # Completion <= deadline + one request timeout + engine compute.
-        assert outcome.metrics.virtual_seconds <= 1.0 * 1.25 + 0.1
-        assert outcome.metrics.deadline_exceeded >= 1
-        assert not outcome.completeness.complete
-        kinds = {event.kind for event in outcome.trace}
-        assert kinds & {"timeout", "deadline"}
+        for workload, budget in (("paper", 1.0), ("lubm", 2.0)):
+            build, query = _VICTIM_WORKLOADS[workload]
+            outcome = LusailEngine(build(STALL)).execute(
+                query, deadline_seconds=budget, trace=True
+            )
+            assert outcome.status == "PARTIAL"
+            assert result_values(outcome.result) <= _fault_free_rows(
+                workload
+            )
+            # Completion <= deadline + one request timeout + engine
+            # compute.
+            assert outcome.metrics.virtual_seconds <= budget * 1.25 + 0.1
+            assert outcome.metrics.deadline_exceeded >= 1
+            assert not outcome.completeness.complete
+            kinds = {event.kind for event in outcome.trace}
+            assert kinds & {"timeout", "deadline"}
 
     def test_deadline_with_replica_and_hedging_recovers_full_answer(self):
         # A tight hedge trigger keeps the whole rescued workload (every
-        # ep2 request re-answered by the replica at ~trigger cost each,
-        # serialized on the lane) inside the 2s budget.
-        engine = LusailEngine(
-            _federation(ep2_profile=STALL, replicate_ep2=True),
-            hedge_threshold_seconds=0.02,
-        )
-        outcome = engine.execute(QUERY_QA, deadline_seconds=2.0)
-        assert outcome.status == "OK", outcome.error
-        assert result_values(outcome.result) == QA_EXPECTED
-        assert outcome.metrics.hedges_won >= 1
-        assert outcome.metrics.virtual_seconds <= 2.0 * 1.25 + 0.1
+        # victim request re-answered by the replica at ~trigger cost
+        # each, serialized on the lane) inside the 2s budget.
+        for workload in sorted(_VICTIM_WORKLOADS):
+            build, query = _VICTIM_WORKLOADS[workload]
+            engine = LusailEngine(
+                build(STALL, True),
+                hedge_threshold_seconds=HEDGE_THRESHOLD_SECONDS,
+            )
+            outcome = engine.execute(query, deadline_seconds=2.0)
+            assert outcome.status == "OK", outcome.error
+            assert result_values(outcome.result) == _fault_free_rows(
+                workload
+            )
+            assert outcome.metrics.hedges_won >= 1
+            assert outcome.metrics.virtual_seconds <= 2.0 * 1.25 + 0.1
 
     def test_latency_snapshot_lands_in_metrics(self):
         engine = LusailEngine(_federation())

@@ -15,6 +15,8 @@ The invariants under test:
 - ``partial_results=True`` degrades instead of aborting: the answer is
   a subset of the fault-free answer, the status is ``PARTIAL``, and the
   completeness report names what was lost;
+- the breaker turns a dead endpoint's retry storms into fast fails
+  without changing the partial answer or slowing the run;
 - a registered standby replica recovers the full answer;
 - threaded execution stays bit-identical to the simulator under
   injected transient faults.
@@ -34,6 +36,7 @@ from .conftest import (
 )
 from repro.core import LusailEngine
 from repro.core.trace import QueryTrace, render_trace
+from repro.datasets.lubm import LUBM_QUERIES
 from repro.endpoint import (
     CircuitBreakerOpenError,
     EndpointRateLimitError,
@@ -47,6 +50,8 @@ from repro.federation import Federation
 from repro.federation.request_handler import ElasticRequestHandler, Request
 from repro.rdf import IRI, Triple
 from repro.rdf import parse as nt_parse
+
+from .faulted import victim_federation
 
 ASK_TEXT = (
     'ASK { ?s <http://swat.cse.lehigh.edu/onto/univ-bench.owl#advisor> ?o . }'
@@ -357,12 +362,14 @@ class TestCircuitBreaker:
 
 class TestPartialResults:
     def test_outage_without_partial_aborts(self):
-        federation = _faulty_paper_federation(
-            ep2_profile=FaultProfile.always_down()
-        )
-        outcome = LusailEngine(federation).execute(QUERY_QA)
-        assert outcome.status == "RE"
-        assert outcome.result is None
+        # default, then FedX-style: no retries, no breaker
+        for knobs in ({}, {"max_retries": 0, "breaker": False}):
+            federation = _faulty_paper_federation(
+                ep2_profile=FaultProfile.always_down()
+            )
+            outcome = LusailEngine(federation, **knobs).execute(QUERY_QA)
+            assert outcome.status == "RE"
+            assert outcome.result is None
 
     def test_outage_with_partial_degrades(self):
         federation = _faulty_paper_federation(
@@ -384,16 +391,61 @@ class TestPartialResults:
 
     def test_retries_absorb_flakiness_exactly(self):
         fault_free = LusailEngine(build_paper_federation()).execute(QUERY_QA)
-        federation = _faulty_paper_federation(
-            ep1_profile=FaultProfile(failure_rate=0.05, seed=5),
-            ep2_profile=FaultProfile(failure_rate=0.05, seed=5),
+        for rate, breaker in (
+            (0.05, True), (0.05, False), (0.15, True), (0.15, False),
+        ):
+            federation = _faulty_paper_federation(
+                ep1_profile=FaultProfile(failure_rate=rate, seed=5),
+                ep2_profile=FaultProfile(failure_rate=rate, seed=5),
+            )
+            outcome = LusailEngine(
+                federation, breaker=breaker
+            ).execute(QUERY_QA)
+            assert outcome.status == "OK"
+            assert result_values(outcome.result) == result_values(
+                fault_free.result
+            )
+            assert outcome.completeness.complete
+            # absorbed, not free: the failures show in the books and
+            # on the clock
+            assert outcome.metrics.requests_failed > 0
+            assert outcome.metrics.retries > 0
+            assert (
+                outcome.metrics.virtual_seconds
+                > fault_free.metrics.virtual_seconds
+            )
+
+    @pytest.mark.parametrize("build,query", [
+        (
+            lambda: _faulty_paper_federation(
+                ep2_profile=FaultProfile.always_down()
+            ),
+            QUERY_QA,
+        ),
+        (
+            lambda: victim_federation(FaultProfile.always_down()),
+            LUBM_QUERIES["Q2"],
+        ),
+    ], ids=["paper", "lubm"])
+    def test_breaker_fast_fails_without_changing_the_partial_answer(
+        self, build, query
+    ):
+        with_breaker, without = (
+            LusailEngine(
+                build(), partial_results=True, breaker=breaker
+            ).execute(query)
+            for breaker in (True, False)
         )
-        outcome = LusailEngine(federation).execute(QUERY_QA)
-        assert outcome.status == "OK"
-        assert result_values(outcome.result) == result_values(
-            fault_free.result
+        assert with_breaker.status == without.status == "PARTIAL"
+        assert result_values(with_breaker.result) == result_values(
+            without.result
         )
-        assert outcome.completeness.complete
+        assert with_breaker.metrics.breaker_fast_fails > 0
+        assert without.metrics.breaker_fast_fails == 0
+        assert (
+            with_breaker.metrics.virtual_seconds
+            <= without.metrics.virtual_seconds
+        )
 
     def test_replica_recovers_full_answer(self):
         replica = LocalEndpoint.from_triples("ep2b", nt_parse(EP2_TRIPLES))

@@ -1,5 +1,6 @@
-"""The knob budget, the row-order contract and the accounting contract
-of the one store / one evaluator / one scheduler.
+"""The knob budget, the row-order contract, the accounting contract of
+the one store / one evaluator / one scheduler, and the one benchmark
+system.
 
 ``src/`` used to keep every superseded storage, evaluation and
 scheduling path behind an ablation knob (``use_columnar``, ``shards``,
@@ -7,7 +8,8 @@ scheduling path behind an ablation knob (``use_columnar``, ``shards``,
 ``streaming``), and the engine mirrored seven request-handler settings
 nobody set (``join_threads``, ``breaker_threshold``,
 ``breaker_cooldown_seconds``, ``request_timeout_seconds``,
-``max_inflight``, ``admission``, ``hedge_requests``).  They are gone;
+``max_inflight``, ``admission``, ``hedge_requests``), plus a
+``result_cache`` switch only a deleted harness flipped.  They are gone;
 the signatures below are pinned so one cannot come back without a diff
 to this file.
 
@@ -18,29 +20,35 @@ scheduler *accounting* is pinned the same way, by counters taken at the
 last commit with two dispatch paths (``052c3fa``); retry, breaker,
 refusal, hedge and timeout accounting under injected faults by counters
 taken at the last commit with two ERH retry loops (``7048a24``).
+
+Wall-clock claims have one home, ``python3 ledger/run.py``; behavioural
+gates have one home, this suite.  The ``BENCH_*.json`` snapshot
+harnesses that used to be a second measuring system are pinned gone.
 """
 
 import hashlib
 import inspect
+from pathlib import Path
 
 import pytest
 
-from repro.bench.federation_bench import (
+from repro.core import LusailEngine
+from repro.datasets.directory import (
     DIRECTORY_QUERY,
     build_directory_federation,
 )
-from repro.bench.resilience_bench import (
-    DOWN_ENDPOINT,
-    HEDGE_THRESHOLD_SECONDS,
-    STRAGGLER_SPIKE_SECONDS,
-    _build_federation,
-)
-from repro.core import LusailEngine
 from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
 from repro.endpoint import FaultProfile, LocalEndpoint
 from repro.federation import ElasticRequestHandler, Federation
 from repro.sparql import Evaluator, parse_query
 from repro.store import TripleStore
+
+from .faulted import (
+    DOWN_ENDPOINT,
+    HEDGE_THRESHOLD_SECONDS,
+    STRAGGLER_SPIKE_SECONDS,
+    build_faulted_federation,
+)
 
 
 def _parameters(function):
@@ -69,7 +77,7 @@ def _parameters(function):
         "federation", "pool_size", "delay_threshold", "enable_sape",
         "use_cache", "strict_checks", "values_block_size", "use_threads",
         "max_retries", "partial_results", "breaker",
-        "hedge_threshold_seconds", "result_cache", "reset_request_windows",
+        "hedge_threshold_seconds", "reset_request_windows",
     ]),
     # retry / breaker / timeout / hedge policy lives here and only here:
     # the engine passes what it owns or derives, never a mirror of these
@@ -183,7 +191,7 @@ def _faulted(profile, everywhere=False, with_replica=False):
     targets = (
         [f"university{i}" for i in range(2)] if everywhere else [DOWN_ENDPOINT]
     )
-    return _build_federation(
+    return build_faulted_federation(
         generator, {target: profile for target in targets}, with_replica
     )
 
@@ -274,3 +282,21 @@ def test_faulted_accounting_matches_the_two_loop_commit(
             metrics.hedges_won,
         ))
     assert observed == _GOLDEN_FAULTED[(name, query, entry_point)]
+
+
+#: ``python -m repro.bench --list``: the paper's own tables and figures
+#: on the virtual clock, and nothing else
+_PAPER_EXPERIMENTS = [
+    "table1", "preprocessing", "fig8", "fig9", "fig10", "fig11", "table2",
+    "fig12a", "fig12bc", "fig13", "fig14", "qerror",
+]
+
+
+def test_no_snapshot_harness(capsys):
+    from repro.bench.__main__ import main as bench_main
+
+    root = Path(__file__).resolve().parent.parent
+    assert sorted(path.name for path in root.glob("BENCH_*.json")) == []
+    assert bench_main(["--list"]) == 0
+    listed = capsys.readouterr().out.split()
+    assert listed == ["available", "experiments:"] + _PAPER_EXPERIMENTS

@@ -16,12 +16,12 @@ import time
 import pytest
 
 from .conftest import EP1_TRIPLES, EP2_TRIPLES, QA_EXPECTED, QUERY_QA
+from .engine_endpoint import EngineEndpoint
 from repro.core import LusailEngine
 from repro.endpoint import (
     EndpointConnectionError,
     EndpointProtocolError,
     EndpointThrottledError,
-    EngineEndpoint,
     LocalEndpoint,
     RemoteEndpoint,
     federate_remotes,

@@ -75,7 +75,7 @@ class TestReplicaRegistration:
 class TestRoutedExecution:
     def test_zero_duplicate_fragment_queries_per_query(self):
         """Each query touches exactly one member of the replica pair."""
-        engine = LusailEngine(build_replicated_federation(), result_cache=False)
+        engine = LusailEngine(build_replicated_federation())
         outcome = engine.execute(QUERY_QA)
         assert result_values(outcome.result) == QA_EXPECTED
         touched = set(outcome.metrics.lane_busy_seconds)
@@ -86,9 +86,11 @@ class TestRoutedExecution:
 
     def test_workload_splits_across_both_replicas(self):
         """Across a repeated read workload both lanes get utilized."""
-        engine = LusailEngine(build_replicated_federation(), result_cache=False)
+        engine = LusailEngine(build_replicated_federation())
         served = []
         for _ in range(4):
+            # a warm result cache would answer without touching a lane
+            engine.result_cache.clear()
             outcome = engine.execute(QUERY_QA)
             assert result_values(outcome.result) == QA_EXPECTED
             lanes = set(outcome.metrics.lane_busy_seconds) & {"ep2a", "ep2b"}

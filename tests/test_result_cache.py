@@ -305,17 +305,6 @@ class TestWarmSecondPass:
         assert result_values(second.result) == QA_EXPECTED
         assert second.metrics.requests == 0
 
-    def test_ablation_knob_disables_the_cache(self):
-        engine = LusailEngine(build_paper_federation(), result_cache=False)
-        assert engine.result_cache is None
-        first = engine.execute(QUERY_QA)
-        second = engine.execute(QUERY_QA)
-        assert result_values(second.result) == QA_EXPECTED
-        assert second.metrics.result_cache_hits == 0
-        # analysis caches still help, but real SELECT traffic remains
-        assert second.metrics.select_requests > 0
-        assert result_values(first.result) == result_values(second.result)
-
     def test_warm_subqueries_are_not_delayed(self):
         engine = LusailEngine(build_paper_federation())
         cold = engine.execute(QUERY_QA, trace=True)

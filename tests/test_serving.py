@@ -11,14 +11,20 @@ pin the reserve-protecting fair-share admission invariants.
 import contextlib
 import json
 import socket
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
 
 import pytest
 
-from repro.core import LusailEngine
-from repro.endpoint import LocalEndpoint
+from repro.core import LusailEngine, QueryResult
+from repro.datasets.directory import (
+    DIRECTORY_QUERY,
+    build_directory_federation,
+)
+from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
+from repro.endpoint import LocalEndpoint, Metrics
 from repro.federation import Federation
 from repro.rdf import BNode, IRI, Literal, Variable
 from repro.rdf import parse as nt_parse
@@ -27,6 +33,7 @@ from repro.serving import (
     QuerySessionManager,
     SparqlRequestHandler,
     TenantClass,
+    TenantOverloadError,
     UnknownTenantError,
     boolean_document,
     document_tail,
@@ -75,10 +82,10 @@ def typed_federation() -> Federation:
 
 
 @contextlib.contextmanager
-def serve(federation=None, tenants=(), max_concurrent=8):
+def serve(federation=None, tenants=(), max_concurrent=8, **engine_knobs):
     fed = federation if federation is not None else build_paper_federation()
     engine = LusailEngine(
-        fed, use_threads=True, reset_request_windows=False
+        fed, use_threads=True, reset_request_windows=False, **engine_knobs
     )
     manager = QuerySessionManager(
         engine, tenants=tenants, max_concurrent=max_concurrent
@@ -234,6 +241,72 @@ class TestServerEndToEnd:
         assert json.loads(body) == expected
         assert result_values(parse_results_document(json.loads(body))) \
             == QA_EXPECTED
+
+    def test_a_stock_sparql_client_reads_the_answer(self):
+        """The de-facto client contract (a Fuseki client: bare ``GET
+        /sparql?query=…`` carrying nothing but ``Accept``, then plain
+        dict access on the W3C results document) — no API key, no Lusail
+        header or parameter, none of this package's decoders."""
+        with serve() as (server, _manager):
+            request = urllib.request.Request(
+                sparql_url(server, QUERY_QA),
+                headers={"Accept": "application/sparql-results+json"},
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 200
+                assert response.headers.get_content_type() \
+                    == "application/sparql-results+json"
+                document = json.load(response)
+        # nothing beyond the standard members for a strict client to trip on
+        assert set(document) == {"head", "results"}
+        variables = document["head"]["vars"]
+        assert variables == ["S", "P", "U", "A"]
+        bindings = document["results"]["bindings"]
+        assert {
+            tuple(binding[name]["value"] for name in variables)
+            for binding in bindings
+        } == QA_EXPECTED
+        assert {
+            cell["type"] for binding in bindings for cell in binding.values()
+        } == {"uri", "literal"}
+
+    def test_concurrent_clients_each_get_the_direct_document(self):
+        """Twelve socket clients at once: concurrency must not change a
+        single binding of any response."""
+        federation = LubmGenerator(universities=2).build_federation()
+        direct = LusailEngine(federation)
+        expected = {}
+        for name in ("Q1", "Q4"):
+            outcome = direct.execute(LUBM_QUERIES[name])
+            assert outcome.status == "OK"
+            expected[name] = results_document(outcome.result)
+        clients = 12
+        barrier = threading.Barrier(clients)
+        mismatches = []
+
+        def client(index):
+            name = ("Q1", "Q4")[index % 2]
+            barrier.wait(timeout=30)
+            status, _headers, body = http(
+                sparql_url(server, LUBM_QUERIES[name])
+            )
+            if status != 200 or json.loads(body) != expected[name]:
+                mismatches.append(f"client {index} {name}: HTTP {status}")
+
+        with serve(federation, max_concurrent=clients) as (server, manager):
+            pool = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(clients)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pool)
+            stats = manager.stats()
+        assert mismatches == []
+        assert stats["tenants"]["public"]["completed"] == clients
+        assert stats["tenants"]["public"]["sheds"] == 0
 
     @pytest.mark.parametrize("streamed", [False, True])
     def test_each_chunk_is_one_write_on_a_nodelay_socket(self, streamed):
@@ -399,6 +472,18 @@ class _NoEngine:
     """Admission tests never reach the engine."""
 
 
+class _GatedEngine:
+    """Holds every admitted query until the gate opens, so which
+    requests overlap is decided by the test, not by the scheduler."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+
+    def execute(self, query_text, **_limits):
+        assert self.gate.wait(timeout=30), "the burst never shed"
+        return QueryResult("OK", None, Metrics())
+
+
 def _manager(max_concurrent=4):
     return QuerySessionManager(
         _NoEngine(),
@@ -431,6 +516,39 @@ class TestFairShareAdmission:
         # pool genuinely full now
         assert not manager.try_admit(gold)
         assert not manager.try_admit(bronze)
+
+    def test_saturating_burst_sheds_and_serves(self):
+        """Overload degrades by shedding, never by queueing: a burst four
+        times the pool serves exactly the pool's worth and turns the
+        rest away at once, while the admitted queries are still
+        running."""
+        burst, pool_size = 8, 2
+        engine = _GatedEngine()
+        manager = QuerySessionManager(engine, max_concurrent=pool_size)
+        outcomes = []
+
+        def fire():
+            try:
+                outcomes.append(manager.execute("ASK { ?s ?p ?o }").status)
+            except TenantOverloadError as shed:
+                assert shed.scope == "global"
+                outcomes.append("shed")
+                if outcomes.count("shed") == burst - pool_size:
+                    engine.gate.set()
+
+        pool = [threading.Thread(target=fire) for _ in range(burst)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in pool)
+        assert sorted(outcomes) == ["OK"] * pool_size + ["shed"] * (
+            burst - pool_size
+        )
+        stats = manager.stats()
+        assert stats["tenants"]["public"]["sheds"] == burst - pool_size
+        assert stats["tenants"]["public"]["completed"] == pool_size
+        assert stats["active"] == 0
 
     def test_release_restores_admission(self):
         manager = _manager()
@@ -548,33 +666,62 @@ class TestStreamingChunks:
         assert document["results"]["bindings"] == []
 
 
+#: name -> (federation builder, query, engine knobs, the share of the
+#: virtual makespan by which the first result must have left, partial
+#: VALUES dispatches required).  The directory workload is the one whose delayed
+#: subqueries leave something to stream: small VALUES blocks and an
+#: aggressive delay threshold make incremental dispatch kick in.
+_STREAMED_WORKLOADS = {
+    "paper": (build_paper_federation, QUERY_QA, {}, 1.0, 0),
+    "directory": (
+        lambda: build_directory_federation(
+            universities=8, students_per_university=4,
+            noise_addresses=120, noise_emails=150,
+        ),
+        DIRECTORY_QUERY,
+        dict(pool_size=32, delay_threshold="mu", values_block_size=2),
+        0.5,
+        1,
+    ),
+}
+
+
 class TestServerStreaming:
     def test_streamed_document_matches_materialized(self):
-        federation = build_paper_federation()
-        direct = LusailEngine(federation).execute(QUERY_QA)
-        with serve(federation) as (server, manager):
-            status, headers, arrivals = _read_streamed(server, QUERY_QA)
-            stats = manager.stats()
-        assert status == 200
-        assert headers.get("X-Lusail-Streaming") == "1"
-        document = json.loads(b"".join(arrivals))
-        info = document["x-lusail"]
-        assert info["status"] == "OK"
-        assert info["complete"] is True
-        assert info["ttfb_seconds"] <= info["virtual_seconds"]
-        assert result_values(parse_results_document(document)) \
-            == result_values(direct.result)
-        assert stats["streaming"]["streams"] == 1
-        assert stats["streaming"]["truncated"] == 0
-        assert stats["streaming"]["batches_routed"] > 0
-        assert stats["streaming"]["ttfb_p50_s"] is not None
+        for build, query, knobs, ttfb_share, partial_dispatches in (
+            _STREAMED_WORKLOADS.values()
+        ):
+            direct = LusailEngine(build(), **knobs).execute(query)
+            # a cold engine: a warm result cache leaves nothing to stream
+            with serve(build(), **knobs) as (server, manager):
+                status, headers, arrivals = _read_streamed(server, query)
+                stats = manager.stats()
+            assert status == 200
+            assert headers.get("X-Lusail-Streaming") == "1"
+            document = json.loads(b"".join(arrivals))
+            info = document["x-lusail"]
+            assert info["status"] == "OK"
+            assert info["complete"] is True
+            assert info["ttfb_seconds"] \
+                <= ttfb_share * info["virtual_seconds"]
+            assert result_values(parse_results_document(document)) \
+                == result_values(direct.result)
+            assert stats["streaming"]["streams"] == 1
+            assert stats["streaming"]["truncated"] == 0
+            assert stats["streaming"]["batches_routed"] > 0
+            assert stats["streaming"]["values_dispatches_partial"] \
+                >= partial_dispatches
+            assert stats["streaming"]["ttfb_p50_s"] is not None
 
     def test_first_bytes_precede_the_trailer(self):
-        with serve() as (server, _manager):
-            _status, _headers, arrivals = _read_streamed(server, QUERY_QA)
-        assert len(arrivals) >= 2
-        assert b"x-lusail" not in arrivals[0]
-        assert b"x-lusail" in arrivals[-1]
+        for build, query, knobs, _share, _dispatches in (
+            _STREAMED_WORKLOADS.values()
+        ):
+            with serve(build(), **knobs) as (server, _manager):
+                _status, _headers, arrivals = _read_streamed(server, query)
+            assert len(arrivals) >= 2
+            assert b"x-lusail" not in arrivals[0]
+            assert b"x-lusail" in arrivals[-1]
 
     def test_stream_of_non_streamable_query_still_answers(self):
         """ORDER BY falls back to the materialized path but the

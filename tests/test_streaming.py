@@ -41,10 +41,6 @@ from .conftest import (
     build_paper_federation,
     result_values,
 )
-from repro.bench.federation_bench import (
-    DIRECTORY_QUERY,
-    build_directory_federation,
-)
 from repro.core import LusailEngine
 from repro.core.joins import SymmetricHashJoin, hash_join
 from repro.core.streaming import (
@@ -54,6 +50,10 @@ from repro.core.streaming import (
     is_streamable,
 )
 from repro.core.trace import QueryTrace, render_trace
+from repro.datasets.directory import (
+    DIRECTORY_QUERY,
+    build_directory_federation,
+)
 from repro.endpoint import (
     FaultProfile,
     LOCAL_CLUSTER,
@@ -66,12 +66,12 @@ from repro.rdf import IRI, Variable
 from repro.rdf import parse as nt_parse
 from repro.sparql.results import ResultSet
 
-#: the directory workload shrunk for unit tests (the bench uses the
-#: full-size registries; correctness does not depend on the noise)
+#: the directory workload with its registries shrunk (correctness does
+#: not depend on the noise rows)
 _SMALL_DIRECTORY = dict(noise_addresses=120, noise_emails=150)
 
 #: engine knobs that make the directory workload exercise incremental
-#: VALUES dispatch (mirrors the federation bench's streaming scenario)
+#: VALUES dispatch: small blocks and an aggressive delay threshold
 _DIRECTORY_KNOBS = dict(
     pool_size=32, delay_threshold="mu", values_block_size=2
 )
@@ -125,21 +125,38 @@ class TestStreamingMatchesMaterialized:
         assert len(rows) == len(set(rows)), "batches must not repeat rows"
 
     def test_directory_workload_streams_early(self):
-        materialized = LusailEngine(
-            _directory_federation(), **_DIRECTORY_KNOBS
-        ).execute(DIRECTORY_QUERY)
-        engine = LusailEngine(_directory_federation(), **_DIRECTORY_KNOBS)
-        handle, outcome = _stream_rows(engine, DIRECTORY_QUERY)
-        assert handle.streamed
-        assert outcome.status == "OK"
-        assert result_values(outcome.result) == result_values(
-            materialized.result
-        )
-        metrics = outcome.metrics
-        assert metrics.batches_routed > 0
-        assert metrics.values_dispatches_partial >= 1
-        assert 0.0 < metrics.ttfb_seconds < metrics.virtual_seconds
-        assert handle.ttfb_seconds == metrics.ttfb_seconds
+        # (universities, students each, share of the materialized
+        # makespan by which the first result is out).  The larger
+        # federation is sized so delayed-block execution, not analysis
+        # probes, dominates the makespan — where time to first result
+        # matters, and where it must come at least twice as early.
+        for universities, students, ttfb_share in (
+            (2, 2, 1.0), (8, 4, 0.5),
+        ):
+            materialized = LusailEngine(
+                _directory_federation(universities, students),
+                **_DIRECTORY_KNOBS,
+            ).execute(DIRECTORY_QUERY)
+            assert materialized.status == "OK"
+            engine = LusailEngine(
+                _directory_federation(universities, students),
+                **_DIRECTORY_KNOBS,
+            )
+            handle, outcome = _stream_rows(engine, DIRECTORY_QUERY)
+            assert handle.streamed
+            assert outcome.status == "OK"
+            assert result_values(outcome.result) == result_values(
+                materialized.result
+            )
+            metrics = outcome.metrics
+            makespan = materialized.metrics.virtual_seconds
+            assert metrics.batches_routed > 0
+            assert metrics.values_dispatches_partial >= 1
+            assert 0.0 < metrics.ttfb_seconds < metrics.virtual_seconds
+            assert metrics.ttfb_seconds <= ttfb_share * makespan
+            # an early first result may not be bought with a longer run
+            assert metrics.virtual_seconds <= 1.1 * makespan
+            assert handle.ttfb_seconds == metrics.ttfb_seconds
 
     def test_trace_records_first_result(self):
         engine = LusailEngine(build_paper_federation())
