@@ -11,7 +11,7 @@ from .cost import (
 from .decomposer import Decomposer, QueryGraph, compute_projections
 from .engine import LusailEngine, QueryResult, UnsupportedQueryError
 from .gjv import GJVDetector, GJVReport
-from .joins import distinct, hash_join, left_outer_join, union_all
+from .joins import hash_join, left_outer_join, union_all
 from .keyword import KeywordHit, keyword_search
 from .optimizer import JoinPlan, Relation, plan_join_order, refine_with_bindings
 from .sape import SubqueryEvaluator
@@ -40,7 +40,6 @@ __all__ = [
     "classify_delayed",
     "compute_projections",
     "decomposition_cost",
-    "distinct",
     "hash_join",
     "keyword_search",
     "left_outer_join",

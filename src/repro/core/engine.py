@@ -331,14 +331,6 @@ class LusailEngine:
                 context.trace_event(
                     "completeness", **context.completeness.to_dict()
                 )
-            if context.join_dictionary is not None:
-                context.trace_event(
-                    "dictionary",
-                    join_terms=len(context.join_dictionary),
-                    interned=context.metrics.join_terms_interned,
-                    hits=context.metrics.join_dictionary_hits,
-                    decode_seconds=context.metrics.join_decode_seconds,
-                )
             context.trace_event(
                 "done",
                 rows=0 if result is None else len(result),

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..endpoint.metrics import ExecutionContext
-from ..rdf.dictionary import TermDictionary
 from ..rdf.term import GroundTerm, Variable
 from ..sparql.ast import GroupPattern, Query, ValuesBlock
 from ..sparql.results import ResultSet
@@ -41,9 +40,8 @@ from .joins import hash_join, union_all
 from .optimizer import Relation, refine_with_bindings
 from .subquery import Subquery
 
-#: variable -> interned IDs (in the query's join dictionary) of its
-#: surviving values
-Bindings = Dict[Variable, Set[int]]
+#: variable -> its surviving values
+Bindings = Dict[Variable, Set[GroundTerm]]
 
 
 class BindingTracker:
@@ -54,26 +52,16 @@ class BindingTracker:
     and the tightest available bound set.  Feeding relations in one at a
     time (as they arrive from endpoints) replaces the seed's rescan of
     *every* relation after *each* delayed subquery.
-
-    Tracked sets hold IDs interned in ``dictionary`` (the context's join
-    intern table) and the per-relation intersections run on machine
-    integers; selection heuristics only ever ask for ``len()``, so terms
-    are decoded solely when :meth:`SubqueryEvaluator._plan_blocks` turns
-    an intersection into concrete ``VALUES`` rows.
     """
 
-    def __init__(self, dictionary: TermDictionary) -> None:
-        self.dictionary = dictionary
+    def __init__(self) -> None:
         self.bindings: Bindings = {}
 
     def add(self, result: ResultSet) -> None:
         """Tighten the tracked intersections with one new relation."""
-        encode = self.dictionary.encode
         rows = result.rows
         for index, variable in enumerate(result.variables):
-            values = {
-                encode(row[index]) for row in rows if row[index] is not None
-            }
+            values = {row[index] for row in rows if row[index] is not None}
             if variable in self.bindings:
                 self.bindings[variable] &= values
             else:
@@ -137,9 +125,6 @@ class SubqueryDispatcher:
         self.values_block_size = max(1, values_block_size)
         #: engine-lifetime subquery result cache; None = always fetch
         self.result_cache = result_cache
-        #: intern table the binding tracker keeps its value sets in
-        #: (shared with the join kernel)
-        self.binding_dictionary = context.get_join_dictionary()
 
     # ------------------------------------------------------------------
     # Request
@@ -180,11 +165,10 @@ class SubqueryDispatcher:
         """Plan a delayed subquery against the bindings found so far.
 
         Binds on the shared variable with the fewest surviving values,
-        cut into ``VALUES`` blocks (the decode boundary: tracked ID sets
-        become terms here, sorted by term sort key).  A subquery with a
-        ``?s ?p ?o``-style pattern is relevant everywhere, so its bound
-        re-selection ASKs (Alg. 3 line 13) go out now, sampled from the
-        first block; :meth:`refine` reads the answers.
+        sorted by term sort key and cut into ``VALUES`` blocks.  A
+        subquery with a ``?s ?p ?o``-style pattern is relevant everywhere,
+        so its bound re-selection ASKs (Alg. 3 line 13) go out now,
+        sampled from the first block; :meth:`refine` reads the answers.
         """
         candidates = [
             (len(values), variable)
@@ -198,10 +182,7 @@ class SubqueryDispatcher:
         )
         if plan.variable is None:
             return plan
-        values = sorted(
-            self.binding_dictionary.decode_many(bindings[plan.variable]),
-            key=lambda t: t.sort_key(),
-        )
+        values = sorted(bindings[plan.variable], key=lambda t: t.sort_key())
         plan.blocks = [
             values[i:i + self.values_block_size]
             for i in range(0, len(values), self.values_block_size)
@@ -430,7 +411,7 @@ class SubqueryEvaluator:
         """
         dispatcher = self.dispatcher
         relations: Dict[str, ResultSet] = dict(initial_relations or {})
-        tracker = BindingTracker(dispatcher.binding_dictionary)
+        tracker = BindingTracker()
         for result in relations.values():
             tracker.add(result)
 

@@ -307,7 +307,7 @@ class _StreamingRun:
         self.decomposition = subqueries
         self.evaluator = engine._make_evaluator(handler, context)
         self.dispatcher = self.evaluator.dispatcher
-        self.tracker = BindingTracker(self.dispatcher.binding_dictionary)
+        self.tracker = BindingTracker()
         self._build_states(subqueries, values_blocks)
         self._classify_modes()
         self._plan_chain()

@@ -206,15 +206,6 @@ def _render_completeness(event: TraceEvent) -> str:
     return "\n".join(lines)
 
 
-@_renders("dictionary")
-def _render_dictionary(event: TraceEvent) -> str:
-    return (f"join dictionary: {event.detail['join_terms']} distinct terms "
-            f"interned ({event.detail['interned']} new, "
-            f"{event.detail['hits']} intern-table hits), "
-            f"{event.detail['decode_seconds'] * 1000:.2f} ms decoding "
-            f"joined rows back to terms")
-
-
 @_renders("replan")
 def _render_replan(event: TraceEvent) -> str:
     return (f"replan: {event.detail['relation']} observed "

@@ -145,15 +145,6 @@ class Metrics:
     #: counters, captured when the request handler closes — what /stats
     #: shows operators about which members are unhealthy
     endpoint_health: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: terms interned into the federator's join dictionary (the ID kernel
-    #: in :mod:`repro.core.joins` encodes result cells once per term)
-    join_terms_interned: int = 0
-    #: join-dictionary encode calls answered from the intern table
-    join_dictionary_hits: int = 0
-    #: wall time decoding joined ID rows back to terms
-    join_decode_seconds: float = 0.0
-    #: joins answered by the batched numpy kernel instead of per-row loops
-    join_vectorized_batches: int = 0
     #: subquery relations served from the engine's result cache
     result_cache_hits: int = 0
     #: result-cache lookups that went to the endpoints instead
@@ -254,10 +245,6 @@ class Metrics:
             "hedges_won": self.hedges_won,
             "sheds": self.sheds,
             "requests_cancelled": self.requests_cancelled,
-            "join_terms_interned": self.join_terms_interned,
-            "join_dictionary_hits": self.join_dictionary_hits,
-            "join_decode_seconds": self.join_decode_seconds,
-            "join_vectorized_batches": self.join_vectorized_batches,
             "result_cache_hits": self.result_cache_hits,
             "result_cache_misses": self.result_cache_misses,
             "requests_avoided": self.requests_avoided,
@@ -328,17 +315,6 @@ class ExecutionContext:
         )
         #: honest accounting of what partial mode dropped
         self.completeness = CompletenessReport()
-        #: lazily-created intern table shared by every join of this query,
-        #: so terms flowing through multiple joins encode exactly once
-        self.join_dictionary = None
-
-    def get_join_dictionary(self):
-        """The query-lifetime join intern table (created on first use)."""
-        if self.join_dictionary is None:
-            from ..rdf.dictionary import TermDictionary
-
-            self.join_dictionary = TermDictionary()
-        return self.join_dictionary
 
     def trace_event(self, kind: str, **detail) -> None:
         """Record a trace event when tracing is enabled (no-op otherwise)."""

@@ -1,8 +1,7 @@
 """Dictionary encoding of ground terms: the interned-ID layer.
 
-Every hot kernel in the reproduction — the store's SPO/POS/OSP index
-walks, the batched BGP executor, and the federator's global hash joins —
-ultimately hashes and compares RDF terms.  Terms cache their hashes, but
+The endpoint's hot kernels — the store's SPO/POS/OSP index walks and
+the batched BGP executor — hash and compare RDF terms.  Terms cache their hashes, but
 every probe still pays a Python-level ``__hash__``/``__eq__`` dispatch
 per cell.  A :class:`TermDictionary` interns each distinct
 :class:`~repro.rdf.term.GroundTerm` once and hands out a dense ``int``
@@ -20,10 +19,10 @@ gives two properties the engine relies on:
   query constants: interning new terms (or removing triples) never
   invalidates an existing ID.
 
-``terms_interned`` / ``hits`` make the encode boundary observable: the
-federator's join layer snapshots them to attribute encode work per query
-(see ``Metrics.join_terms_interned``).  Endpoint stores intern at load
-only — evaluation goes through :meth:`TermDictionary.lookup`.
+``terms_interned`` / ``hits`` make the encode boundary observable.
+Endpoint stores intern at load only — evaluation goes through
+:meth:`TermDictionary.lookup`.  The federator's global joins do not use a
+dictionary: they join terms directly (:mod:`repro.core.joins`).
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ as alternative *modes* lives here as oracles instead:
   query evaluated by :class:`SeedEvaluator` over the union of every
   endpoint's triples.  What used to be checked scheduler-mode against
   scheduler-mode is checked against this.
+- :func:`nested_loop_join` — the federator's result-level joins
+  (``repro.core.joins``) as a double loop over rows: no hashing, no
+  build / probe sides.
 
 Only :class:`RowAtATimeEvaluator` promises a row *order*; compare the
 others as multisets (``rows_multiset``).  Federated order is pinned
@@ -32,12 +35,58 @@ separately by the golden test in ``test_public_surface``.
 from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Set
 
+from hypothesis import settings
+
 from repro.rdf import Triple, TriplePattern, Variable
 from repro.sparql import Evaluator, parse_query
 from repro.sparql.results import ResultSet
 from repro.store import TripleStore
 
 Binding = Dict[Variable, object]
+
+
+def examples(tier1: int):
+    """Hypothesis settings for a differential property: ``tier1``
+    examples normally; the loaded profile's count when it asks for more
+    (``HYPOTHESIS_PROFILE=ci``, see ``conftest.py``)."""
+    return settings(
+        max_examples=max(tier1, settings().max_examples), deadline=None
+    )
+
+
+def nested_loop_join(
+    left: ResultSet, right: ResultSet, outer: bool = False
+) -> ResultSet:
+    """Every compatible (left row, right row) pair, merged, left-major.
+
+    Two rows are compatible when every shared variable bound on both
+    sides holds the same term; a ``None`` cell is a wildcard and takes
+    the other side's value.  The header is the left variables, then the
+    right-only ones.  ``outer`` keeps an unmatched left row, padded with
+    ``None`` (SPARQL OPTIONAL).
+    """
+    header = list(left.variables) + [
+        v for v in right.variables if v not in left.variables
+    ]
+    #: where each right cell lands in an output row
+    slots = [header.index(v) for v in right.variables]
+    rows = []
+    for left_row in left.rows:
+        matched = False
+        for right_row in right.rows:
+            merged = list(left_row) + [None] * (len(header) - len(left_row))
+            for slot, value in zip(slots, right_row):
+                mine = merged[slot]
+                if mine is None:
+                    merged[slot] = value
+                elif value is not None and value != mine:
+                    break
+            else:
+                rows.append(tuple(merged))
+                matched = True
+        if outer and not matched:
+            rows.append(tuple(left_row) + (None,) * (len(header) - len(left_row)))
+    return ResultSet(tuple(header), rows)
 
 
 def reference_bgp(store: TripleStore, patterns: List[TriplePattern]) -> List[Binding]:

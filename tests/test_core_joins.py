@@ -1,14 +1,27 @@
-"""Unit tests for result-level join operators."""
+"""Unit tests for result-level join operators.
 
+Every operator is checked against ``tests/reference.py``'s
+``nested_loop_join`` as a multiset, on inputs that mix wildcard (``None``)
+and bound cells; the row *order* of ``hash_join`` and ``left_outer_join``
+is pinned by digests of two seeded 300-row joins.
+"""
+
+import hashlib
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core import hash_join, joins, left_outer_join, plan_join_order, union_all
+from repro.core import hash_join, left_outer_join, plan_join_order, union_all
+from repro.core.joins import SymmetricHashJoin
 from repro.core.optimizer import Relation, refine_with_bindings
 from repro.endpoint import ExecutionContext, LOCAL_CLUSTER, MemoryLimitError, Region
 from repro.rdf import IRI, Variable
 from repro.sparql import ResultSet
+
+from .reference import examples, nested_loop_join
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -78,70 +91,6 @@ class TestHashJoin:
             hash_join(left, right, ctx)
 
 
-class TestVectorizedJoins:
-    """With numpy importable, joins of >= 32 rows whose (<= 2) key
-    columns are fully bound run as one batch; the result is bit-identical
-    (rows *and* order) to the per-row kernel a numpy-free interpreter
-    runs, and wildcard keys fall back to it."""
-
-    pytestmark = pytest.mark.skipif(
-        joins._np is None, reason="numpy not installed: only the per-row kernel exists"
-    )
-
-    def _result_sets(self, seed, n_left, n_right, domain, none_prob=0.0):
-        rng = random.Random(seed)
-
-        def rows(n):
-            return [
-                tuple(
-                    None
-                    if none_prob and rng.random() < none_prob
-                    else IRI(f"http://x/{rng.randrange(domain)}")
-                    for _ in range(2)
-                )
-                for _ in range(n)
-            ]
-
-        return rs((X, Y), rows(n_left)), rs((Y, Z), rows(n_right))
-
-    @staticmethod
-    def _context():
-        return ExecutionContext(LOCAL_CLUSTER, Region("local"))
-
-    def _per_row(self, op, left, right, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(joins, "_np", None)
-            context = self._context()
-            result = op(left, right, context=context)
-        assert context.metrics.join_vectorized_batches == 0
-        return result
-
-    @pytest.mark.parametrize("op", [hash_join, left_outer_join])
-    @pytest.mark.parametrize("seed,n_left,n_right,domain", [
-        (1, 200, 300, 40),
-        (2, 500, 100, 8),    # heavy fan-out, build side = right
-        (3, 40, 700, 25),    # build side = left
-    ])
-    def test_vectorized_matches_per_row(
-        self, op, seed, n_left, n_right, domain, monkeypatch
-    ):
-        left, right = self._result_sets(seed, n_left, n_right, domain)
-        context = self._context()
-        vectorized = op(left, right, context=context)
-        per_row = self._per_row(op, left, right, monkeypatch)
-        assert vectorized.variables == per_row.variables
-        assert vectorized.rows == per_row.rows
-        assert context.metrics.join_vectorized_batches == 1
-
-    @pytest.mark.parametrize("op", [hash_join, left_outer_join])
-    def test_wildcard_keys_fall_back(self, op, monkeypatch):
-        left, right = self._result_sets(5, 120, 120, 20, none_prob=0.15)
-        context = self._context()
-        result = op(left, right, context=context)
-        assert result.rows == self._per_row(op, left, right, monkeypatch).rows
-        assert context.metrics.join_vectorized_batches == 0
-
-
 class TestLeftOuterJoin:
     def test_unmatched_left_rows_survive(self):
         left = rs([X], [(iri("a"),), (iri("b"),)])
@@ -173,6 +122,148 @@ class TestUnionAll:
 
     def test_empty_input(self):
         assert len(union_all([])) == 0
+
+
+def _context():
+    return ExecutionContext(LOCAL_CLUSTER, Region("local"))
+
+
+def _random_rows(rng, n, width, domain, none_rate):
+    return [
+        tuple(
+            None if rng.random() < none_rate
+            else IRI(f"http://x/v{rng.randrange(domain)}")
+            for _ in range(width)
+        )
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def _join_cases(draw):
+    """Two relations sharing 0-3 variables (in any column order), 0-300
+    rows each, ``None`` in key and non-key cells, duplicate rows."""
+    shared = [Variable(f"s{i}") for i in range(draw(st.integers(0, 3)))]
+    left_only = [
+        Variable(f"l{i}")
+        for i in range(draw(st.integers(0 if shared else 1, 2)))
+    ]
+    right_only = [
+        Variable(f"r{i}")
+        for i in range(draw(st.integers(0 if shared else 1, 2)))
+    ]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    domain = draw(st.integers(1, 8))
+    none_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+    def relation(variables):
+        variables = draw(st.permutations(variables))
+        rows = _random_rows(
+            rng, draw(st.integers(0, 300)), len(variables), domain, none_rate
+        )
+        if rows:
+            rows += [rng.choice(rows) for _ in range(draw(st.integers(0, 5)))]
+        return ResultSet(tuple(variables), rows)
+
+    return relation(shared + left_only), relation(shared + right_only)
+
+
+def _drain_symmetric(left, right, schedule, context):
+    """Push both inputs through one ``SymmetricHashJoin``: ``schedule``
+    is ``(push_left, batch_size)`` steps, and whatever it leaves is
+    pushed last, left then right."""
+    join = SymmetricHashJoin(left.variables, right.variables, context)
+    cursors = {True: 0, False: 0}
+    out = []
+
+    def push(is_left, size):
+        rows = (left if is_left else right).rows
+        batch = rows[cursors[is_left]:cursors[is_left] + size]
+        cursors[is_left] += len(batch)
+        out.extend(join.push_left(batch) if is_left else join.push_right(batch))
+
+    for is_left, size in schedule:
+        push(is_left, size)
+    push(True, len(left.rows))
+    push(False, len(right.rows))
+    assert join.held_rows == len(left.rows) + len(right.rows)
+    return join.header, out
+
+
+class TestAgainstNestedLoopOracle:
+    """Each operator equals the double-loop oracle as a multiset."""
+
+    @examples(40)
+    @given(_join_cases(), st.booleans())
+    def test_hash_join(self, case, with_context):
+        left, right = case
+        result = hash_join(left, right, _context() if with_context else None)
+        expected = nested_loop_join(left, right)
+        assert result.variables == expected.variables
+        assert Counter(result.rows) == Counter(expected.rows)
+
+    @examples(40)
+    @given(_join_cases(), st.booleans())
+    def test_left_outer_join(self, case, with_context):
+        left, right = case
+        result = left_outer_join(
+            left, right, _context() if with_context else None
+        )
+        expected = nested_loop_join(left, right, outer=True)
+        assert result.variables == expected.variables
+        assert Counter(result.rows) == Counter(expected.rows)
+
+    @examples(40)
+    @given(
+        _join_cases(),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 80)), max_size=12),
+        st.booleans(),
+    )
+    def test_symmetric_hash_join(self, case, schedule, with_context):
+        left, right = case
+        header, rows = _drain_symmetric(
+            left, right, schedule, _context() if with_context else None
+        )
+        expected = nested_loop_join(left, right)
+        assert header == expected.variables
+        assert Counter(rows) == Counter(expected.rows)
+
+
+def _digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(b"\n")
+        h.update("\t".join("" if c is None else c.n3() for c in row).encode())
+    return h.hexdigest()[:16]
+
+
+def _seeded_pair(seed, none_rate):
+    rng = random.Random(seed)
+    left = rs((X, Y), _random_rows(rng, 300, 2, 40, none_rate))
+    right = rs((Y, Z), _random_rows(rng, 300, 2, 40, none_rate))
+    return left, right
+
+
+#: (case, operator) -> (digest of the output rows in emitted order, rows),
+#: recorded at ``29544be``, where these joins ran on a numpy
+#: sort-and-search kernel (bound keys) and on dictionary-encoded int rows
+#: (wildcard keys)
+_ORDER_PINS = {
+    ("bound-keys", "hash_join"): ("a7fa148a22f07436", 2213),
+    ("bound-keys", "left_outer_join"): ("928e2de91bbcc772", 2213),
+    ("wildcard-keys", "hash_join"): ("23c51b74d7ca20b8", 28105),
+    ("wildcard-keys", "left_outer_join"): ("207ca809a09e7f5c", 28105),
+}
+
+
+@pytest.mark.parametrize("case,op", sorted(_ORDER_PINS))
+def test_join_row_order_is_pinned(case, op):
+    """Output *order*, not just content: every key bound, or ~15% of
+    cells (keys included) unbound."""
+    left, right = _seeded_pair(7, 0.0 if case == "bound-keys" else 0.15)
+    operator = {"hash_join": hash_join, "left_outer_join": left_outer_join}[op]
+    result = operator(left, right, _context())
+    assert (_digest(result.rows), len(result.rows)) == _ORDER_PINS[(case, op)]
 
 
 class TestPlanJoinOrder:

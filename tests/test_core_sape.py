@@ -7,7 +7,7 @@ from repro.core.subquery import Subquery
 from repro.core.trace import QueryTrace
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import ElasticRequestHandler, Federation
-from repro.rdf import IRI, TermDictionary, Triple, TriplePattern, Variable
+from repro.rdf import IRI, Triple, TriplePattern, Variable
 from repro.sparql import ResultSet
 
 
@@ -138,15 +138,15 @@ class TestDelayedPhase:
 
 
 class TestBindingsDerivation:
+    """The tracker keeps, per variable, the set of terms every relation
+    mentioning it agrees on."""
+
     @staticmethod
     def _derive(relations):
-        tracker = BindingTracker(TermDictionary())
+        tracker = BindingTracker()
         for relation in relations:
             tracker.add(relation)
-        return {
-            variable: set(tracker.dictionary.decode_many(ids))
-            for variable, ids in tracker.bindings.items()
-        }
+        return tracker.bindings
 
     def test_intersection_across_relations(self):
         x = Variable("x")
@@ -158,6 +158,15 @@ class TestBindingsDerivation:
         x = Variable("x")
         r1 = ResultSet([x], [(iri("a"),), (None,)])
         assert self._derive([r1])[x] == {iri("a")}
+
+    def test_tracks_term_intersections(self):
+        x, y = Variable("x"), Variable("y")
+        r1 = ResultSet((x, y), [(iri(f"a{i % 4}"), iri(f"b{i}")) for i in range(10)])
+        r2 = ResultSet((x,), [(iri(f"a{i}"),) for i in range(3)] + [(None,)])
+        assert self._derive([r1, r2]) == {
+            x: {iri("a0"), iri("a1"), iri("a2")},  # unbound cell ignored
+            y: {iri(f"b{i}") for i in range(10)},
+        }
 
 
 class TestSourceRefinement:

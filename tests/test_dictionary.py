@@ -1,15 +1,14 @@
 """Dictionary-encoding tests: intern-table semantics, the ID-keyed store
 and ID-native execution against the oracles in ``tests/reference.py``,
-statistics maintenance under interning, the join-layer ID kernel, and the
-rule that query traffic never grows an endpoint's dictionary."""
+statistics maintenance under interning, the federator's joins (which run
+on terms, not IDs), and the rule that query traffic never grows an
+endpoint's dictionary."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import joins
-from repro.core.joins import _ID_KERNEL_MIN_ROWS, hash_join, left_outer_join
-from repro.core.sape import BindingTracker
+from repro.core.joins import hash_join
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint, Region
 from repro.endpoint.metrics import ExecutionContext
 from repro.rdf import IRI, Literal, TermDictionary, Triple, TriplePattern, Variable
@@ -252,6 +251,9 @@ class TestRemoveAndInvalidation:
 
 
 class TestJoinKernel:
+    """The federator's joins keep no intern table: a join of any size
+    runs on terms, with or without an execution context."""
+
     def _results(self, n):
         x, y, z = Variable("x"), Variable("y"), Variable("z")
         left = ResultSet((x, y), [(_iri(f"k{i % 7}"), _iri(f"v{i}")) for i in range(n)])
@@ -262,56 +264,17 @@ class TestJoinKernel:
         )
         return left, right
 
-    @pytest.mark.parametrize("op", [hash_join, left_outer_join])
-    def test_kernel_bit_identical_to_term_mode(self, op, monkeypatch):
-        """Which mode a join runs in is decided by its size alone; lift
-        the threshold out of reach to get the same join in term mode."""
-        left, right = self._results(3 * _ID_KERNEL_MIN_ROWS)
-        on = ExecutionContext(LOCAL_CLUSTER, Region("local"))
-        a = op(left, right, on)
-        off = ExecutionContext(LOCAL_CLUSTER, Region("local"))
-        monkeypatch.setattr(joins, "_ID_KERNEL_MIN_ROWS", 10**9)
-        b = op(left, right, off)
-        assert a.variables == b.variables
-        assert a.rows == b.rows  # order included
-        assert on.metrics.join_terms_interned > 0
-        assert on.metrics.join_dictionary_hits > 0
-        assert off.metrics.join_terms_interned == 0
-
     def test_small_joins_skip_the_kernel(self):
         left, right = self._results(4)
         context = ExecutionContext(LOCAL_CLUSTER, Region("local"))
         result = hash_join(left, right, context)
-        assert context.join_dictionary is None
-        assert context.metrics.join_terms_interned == 0
         # 2 keyed matches + 4 matches against the wildcard (None) row
         assert len(result) == 6
 
     def test_context_free_join_matches(self):
-        left, right = self._results(3 * _ID_KERNEL_MIN_ROWS)
+        left, right = self._results(96)
         context = ExecutionContext(LOCAL_CLUSTER, Region("local"))
         assert hash_join(left, right).rows == hash_join(left, right, context).rows
-
-
-class TestBindingTracker:
-    def test_tracks_id_intersections(self):
-        x, y = Variable("x"), Variable("y")
-        r1 = ResultSet((x, y), [(_iri(f"a{i % 4}"), _iri(f"b{i}")) for i in range(10)])
-        r2 = ResultSet((x,), [(_iri(f"a{i}"),) for i in range(3)] + [(None,)])
-        tracker = BindingTracker(TermDictionary())
-        tracker.add(r1)
-        tracker.add(r2)
-        assert all(
-            isinstance(i, int) for ids in tracker.bindings.values() for i in ids
-        )
-        decoded = {
-            v: set(tracker.dictionary.decode_many(ids))
-            for v, ids in tracker.bindings.items()
-        }
-        assert decoded == {
-            x: {_iri("a0"), _iri("a1"), _iri("a2")},  # unbound cell ignored
-            y: {_iri(f"b{i}") for i in range(10)},
-        }
 
 
 _GHOST = "http://elsewhere/never-loaded"

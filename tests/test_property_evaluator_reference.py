@@ -18,7 +18,7 @@ materialised answer.
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rdf import IRI, Triple, TriplePattern, Variable
@@ -36,18 +36,10 @@ from repro.store import TripleStore
 from .reference import (
     RowAtATimeEvaluator,
     SeedEvaluator,
+    examples as _examples,
     reference_bgp,
     rows_multiset,
 )
-
-
-
-def _examples(tier1: int):
-    """``tier1`` examples normally; the loaded profile's count when it
-    asks for more (``HYPOTHESIS_PROFILE=ci``, see ``conftest.py``)."""
-    return settings(
-        max_examples=max(tier1, settings().max_examples), deadline=None
-    )
 
 
 _TERMS = [IRI(f"http://x/t{i}") for i in range(4)]

@@ -26,8 +26,10 @@ gates have one home, this suite.  The ``BENCH_*.json`` snapshot
 harnesses that used to be a second measuring system are pinned gone.
 """
 
+import ast
 import hashlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,27 @@ def _parameters(function):
 ])
 def test_exact_parameter_names(function, expected):
     assert _parameters(function) == expected
+
+
+def test_src_imports_only_stdlib():
+    """``pyproject.toml`` declares ``dependencies = []``: every import in
+    ``src/repro`` is the package itself or the standard library, so no
+    optional dependency can switch a second code path on."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    foreign = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.relative_to(src)}:{node.lineno} {name}")
+    assert foreign == []
 
 
 def _digest(result):

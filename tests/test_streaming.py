@@ -442,7 +442,7 @@ class TestSymmetricHashJoin:
     def test_preload_left_does_not_probe(self):
         join = SymmetricHashJoin((_X, _Y), (_Y, _Z))
         join.preload_left(_iri_rows([("a", "k"), ("b", "k")]))
-        assert join.left_count == 2
+        assert len(join.left_rows) == 2
         out = join.push_right(_iri_rows([("k", "c")]))
         assert len(out) == 2
 
@@ -505,7 +505,7 @@ class TestReplanning:
         assert run.positions["D"] == 2
         assert context.metrics.replans == 1
         # rebuilt stage 1 now joins (A><B) with D and carries the left
-        assert run.stages[1].left_count == 1
+        assert len(run.stages[1].left_rows) == 1
         assert Variable("f") in run.stages[1].header
         assert Variable("e") in run.stages[2].header
         events = context.trace.of_kind("replan")
