@@ -468,13 +468,12 @@ class LusailEngine:
             from ..sparql.aggregation import aggregate_solutions
 
             solutions = list(result.distinct().bindings())
-            return aggregate_solutions(
+            projected = aggregate_solutions(
                 query.group_by, query.aggregates, solutions
             )
-        header = query.projected_variables()
-        projected = result.project(header)
-        # Federated engines compare DISTINCT result sets (see DESIGN.md).
-        projected = projected.distinct()
+        else:
+            # Federated engines compare DISTINCT result sets (see DESIGN.md).
+            projected = result.project(query.projected_variables()).distinct()
         if query.order_by:
             from ..sparql.evaluator import _order
 

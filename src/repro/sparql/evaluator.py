@@ -7,18 +7,32 @@ DISTINCT, ORDER BY, LIMIT/OFFSET, and COUNT aggregation.
 
 BGPs run through a **compile-once, batch-at-a-time pipeline**
 (:mod:`repro.sparql.plan`): pattern order is planned once per BGP from
-static store statistics and cached across requests, then whole vectors
-of solutions are pushed through each pattern **ID-native**
-(:meth:`BGPPlan.execute_ids` + :meth:`TripleStore.extend_id_rows`):
-solutions travel as slot-mapped lists of interned integer IDs and decode
-back to terms only at the BGP boundary — or, for pure-BGP SELECTs, not
-until the final :class:`ResultSet` cells are materialized.  Evaluation
-only ever *looks up* terms in the store's dictionary; a constant or an
-outer binding the data never mentions yields no solutions and interns
-nothing.  The two non-BGP shapes federators send ride the same
-pipeline — a bound VALUES block as an ID semi-join inside it, a
-top-level (NOT) EXISTS as one seeded run per batch — and LIMIT stops
-pulling.  (``tests/reference.py`` keeps the row-at-a-time oracles.)
+static store statistics and cached across requests, then lists of
+solutions are pushed through each pattern **ID-native**
+(:meth:`BGPPlan.execute_ids` + :meth:`TripleStore.extend_id_rows`) as
+slot-mapped lists of interned integer IDs.  Evaluation only ever
+*looks up* terms in the store's dictionary; a constant or an outer
+binding the data never mentions yields no solutions and interns nothing.
+
+**The ID path** (:meth:`Evaluator._id_batches`) takes every SELECT,
+sub-SELECT and ASK whose WHERE is triple patterns under nothing but
+top-level ``FILTER (NOT) EXISTS { triple patterns }`` — every Figure-5
+check, COUNT probe and ASK a federator sends, and every subquery
+without VALUES or an ordinary FILTER.  Each
+EXISTS is an ID semi-join (anti-join) stage seeded once per list with
+its distinct correlated keys; only projected slots are decoded, and
+``COUNT(*)`` counts rows and decodes nothing.  Where an answer cannot
+observe how often a solution repeats (ASK, DISTINCT, ``OFFSET 0 LIMIT
+≤ 1`` without ORDER BY, every EXISTS body) a variable is **dead** when
+the answer does not read it (not projected, not correlated with an
+EXISTS body) and no later pattern mentions it; a pattern binding only
+dead variables is an existence test, one index lookup per key.
+
+Every other group is evaluated bottom-up over binding dicts: the BGP
+decoded at its boundary, a bound VALUES block pushed into the pipeline
+as an ID semi-join, a top-level (NOT) EXISTS one seeded run per batch,
+and LIMIT stops pulling.  (``tests/reference.py`` keeps the
+row-at-a-time oracles.)
 """
 
 from __future__ import annotations
@@ -81,6 +95,9 @@ class Evaluator:
 
     def ask(self, query: Query) -> bool:
         with self._timed():
+            found = self._id_batches(query.where, frozenset())
+            if found is not None:
+                return any(found[1])  # stops at the first non-empty list
             for _ in self._evaluate_group(query.where, _EMPTY_BINDING):
                 return True
             return False
@@ -89,69 +106,135 @@ class Evaluator:
         """Evaluate a SELECT query; returns a :class:`ResultSet`."""
         from .results import ResultSet
 
+        aggregated = query.aggregates or query.group_by
         # With nothing that reorders, dedups or folds the solutions, the
         # answer is a prefix of the lazy group stream: stop pulling there.
-        reshaped = query.order_by or query.distinct or query.aggregates or query.group_by
+        reshaped = query.order_by or query.distinct or aggregated
         stop = None if reshaped or query.limit is None else query.offset + query.limit
         with self._timed():
-            result = self._select_bgp_fast(query)
-            if result is None:
+            found = self._id_batches(query.where, _live(query))
+            if found is None:
                 solutions = list(islice(self._evaluate_group(query.where, _EMPTY_BINDING), stop))
-        if result is None:
-            if query.aggregates or query.group_by:
-                return self._aggregate(query, solutions)
-            header = query.projected_variables()
-            result = ResultSet.from_bindings(header, solutions)
+            elif aggregated:
+                solutions = self._decode_solutions(query, *found)
+            else:
+                result = self._decode_rows(query.projected_variables(), *found, stop)
+        if aggregated:
+            result = self._aggregate(query, solutions)
+        elif found is None:
+            result = ResultSet.from_bindings(query.projected_variables(), solutions)
         if query.distinct:
             result = result.distinct()
         if query.order_by:
             result = _order(result, query.order_by)
         if query.offset or query.limit is not None:
             end = None if query.limit is None else query.offset + query.limit
-            result = type(result)(result.variables, result.rows[query.offset:end])
+            result = ResultSet(result.variables, result.rows[query.offset:end])
         return result
 
-    def _select_bgp_fast(self, query: Query):
-        """Pure-BGP SELECT: skip binding dicts.
+    def _id_batches(
+        self, group: GroupPattern, live: Optional[FrozenSet[Variable]]
+    ) -> Optional[Tuple[Tuple[Variable, ...], Iterator[list]]]:
+        """The ID path: a group of triple patterns under top-level BGP
+        ``(NOT) EXISTS`` filters as ``(slot_vars, lists of ID rows)``;
+        ``None`` for any other group (the general path takes it).
 
-        When the WHERE clause is nothing but triple patterns (no filters,
-        aggregates, or grouping), ID rows coming off the planned pipeline
-        are projected by slot index and decoded straight into the
-        :class:`ResultSet` cells — no per-solution dict is ever built.
-        Returns ``None`` when the query doesn't qualify (the general path
-        takes over); DISTINCT/ORDER/LIMIT still apply in the caller.
+        ``live`` (see :func:`_live`) turns patterns binding only dead
+        variables into existence stages; the variables each EXISTS body
+        correlates on stay live.  Each filter is one ID semi-join (or
+        anti-join) stage over the outer lists.
         """
-        from .results import ResultSet
-
-        if query.aggregates or query.group_by or query.where.filters:
+        patterns = group.elements
+        if not patterns or not all(isinstance(e, TriplePattern) for e in patterns):
             return None
-        patterns = query.where.elements
-        if not patterns or not all(
-            isinstance(e, TriplePattern) for e in patterns
-        ):
+        if not all(map(_is_bgp_exists, group.filters)):
             return None
         plan = self.plan_for(list(patterns), frozenset())
-        header = query.projected_variables()
-        slot_of = {v: i for i, v in enumerate(plan.slot_vars)}
+        outer = frozenset(plan.slot_vars)
+        correlated = [
+            outer.intersection(set().union(*[p.variables() for p in expr.group.elements]))
+            for expr in group.filters
+        ]
+        if live is not None:
+            live = live.union(*correlated)
+        batches = plan.execute_ids(
+            self.store, [[None] * len(plan.slot_vars)], self.stats, self.batch_size, live=live
+        )
+        for expr, bound in zip(group.filters, correlated):
+            batches = self._exists_stage(expr, bound, plan.slot_vars, batches)
+        return plan.slot_vars, batches
+
+    def _exists_stage(
+        self,
+        expr: ExistsExpr,
+        bound: FrozenSet[Variable],
+        slot_vars: Tuple[Variable, ...],
+        batches: Iterator[list],
+    ) -> Iterator[list]:
+        """``FILTER (NOT) EXISTS`` over ID-row lists: per list, one body
+        run seeded with its distinct correlated keys; survivors leave in
+        input order."""
+        body = self.plan_for(expr.group.elements, bound)
+        at = [slot_vars.index(v) for v in body.slot_vars[:body.bound_slots]]
+        for batch in batches:
+            keys = [tuple([row[s] for s in at]) for row in batch]
+            found = self._matched_keys(body, keys)
+            yield [row for row, key in zip(batch, keys) if (key in found) != expr.negated]
+
+    def _matched_keys(self, body: BGPPlan, keys: Iterable[tuple]) -> set:
+        """The keys (IDs for ``body``'s bound slots) the body has a
+        solution for: one run seeded with each distinct key, every body
+        variable dead, stopping once every key has matched."""
+        seeds = dict.fromkeys(keys)
+        free = [None] * (len(body.slot_vars) - body.bound_slots)
+        width = body.bound_slots
+        found: set = set()
+        for batch in body.execute_ids(
+            self.store, [[*key, *free] for key in seeds], self.stats, self.batch_size,
+            live=frozenset(),
+        ):
+            found.update([tuple(row[:width]) for row in batch])
+            if len(found) == len(seeds):
+                break
+        return found
+
+    def _decode_rows(
+        self, header: List[Variable], slot_vars, batches: Iterator[list], stop: Optional[int]
+    ):
+        """Projected slots only, decoded straight into result cells."""
+        from .results import ResultSet
+
+        slot_of = {v: i for i, v in enumerate(slot_vars)}
         projection = [slot_of.get(v) for v in header]
         decode = self.store.dictionary.decode
-        id_rows = list(
-            plan.execute_ids(
-                self.store, [[None] * len(plan.slot_vars)], self.stats, self.batch_size
-            )
-        )
-        decode_started = time.perf_counter()
-        rows = [
-            tuple(
-                [
-                    None if s is None or row[s] is None else decode(row[s])
-                    for s in projection
-                ]
-            )
-            for row in id_rows
-        ]
-        self.stats.decode_seconds += time.perf_counter() - decode_started
+        rows: List[tuple] = []
+        for batch in batches:
+            started = time.perf_counter()
+            rows += [
+                tuple([None if s is None else decode(row[s]) for s in projection])
+                for row in batch
+            ]
+            self.stats.decode_seconds += time.perf_counter() - started
+            if stop is not None and len(rows) >= stop:
+                break
         return ResultSet(tuple(header), rows)
+
+    def _decode_solutions(self, query: Query, slot_vars, batches: Iterator[list]) -> List[Binding]:
+        """Solutions for aggregation, binding only what the grouping and
+        the aggregates read: ``COUNT(*)`` alone counts rows and decodes
+        nothing."""
+        read = set(query.group_by).union(
+            a.argument for a in query.aggregates if a.argument is not None
+        )
+        slots = [(v, slot) for slot, v in enumerate(slot_vars) if v in read]
+        if not slots:
+            return [_EMPTY_BINDING] * sum(map(len, batches))
+        decode = self.store.dictionary.decode
+        return [
+            {v: decode(row[slot]) for v, slot in slots}
+            for batch in batches
+            for row in batch
+        ]
 
     def evaluate(self, query: Query):
         """Dispatch on the query form; ASK returns bool."""
@@ -282,14 +365,14 @@ class Evaluator:
         return solutions
 
     def _exists_filter(self, expr: ExistsExpr, solutions: Iterable[Binding]) -> Iterator[Binding]:
-        """``FILTER (NOT) EXISTS { patterns }`` a batch at a time.
+        """``FILTER (NOT) EXISTS { patterns }`` over binding dicts, a
+        batch at a time (groups the ID path does not take: OPTIONAL can
+        leave some body variables unbound).
 
         Pulls at most ``batch_size`` solutions, partitions them by which
-        body variables they bind (OPTIONAL can leave some unbound), and
-        per partition seeds **one** pipeline run with the distinct
-        correlated keys (looked up, never interned: an unknown value
-        cannot match), reading the matched keys off the output rows'
-        leading bound slots until every key has matched.  Survivors
+        body variables they bind, and per partition asks
+        :meth:`_matched_keys` about the distinct correlated keys (looked
+        up, never interned: an unknown value cannot match).  Survivors
         leave in input order.
         """
         patterns = expr.group.elements
@@ -303,20 +386,15 @@ class Evaluator:
             found = [False] * len(chunk)
             for bound, positions in partitions.items():
                 plan = self.plan_for(patterns, bound)
-                width = plan.bound_slots
-                correlated = plan.slot_vars[:width]
-                waiting: Dict[tuple, List[int]] = {}
+                correlated = plan.slot_vars[:plan.bound_slots]
+                keys = {}
                 for position in positions:
                     key = tuple([lookup(chunk[position][v]) for v in correlated])
                     if None not in key:
-                        waiting.setdefault(key, []).append(position)
-                free = [None] * (len(plan.slot_vars) - width)
-                seeds = [list(key) + free for key in waiting]
-                for ids in plan.execute_ids(self.store, seeds, self.stats, self.batch_size):
-                    for position in waiting.pop(tuple(ids[:width]), ()):
-                        found[position] = True
-                    if not waiting:
-                        break
+                        keys[position] = key
+                matched = self._matched_keys(plan, keys.values())
+                for position, key in keys.items():
+                    found[position] = key in matched
             yield from compress(chunk, [hit != expr.negated for hit in found])
 
     # ------------------------------------------------------------------
@@ -334,8 +412,8 @@ class Evaluator:
         never seen cannot match anything); rows come back ID-native and
         only the slots the BGP itself bound are decoded, overlaid on a
         copy of ``initial`` — so variables merely passing through are
-        never encoded at all.  Pure-BGP SELECTs skip even this via
-        :meth:`_select_bgp_fast`.
+        never encoded at all.  Groups the ID path takes skip even this
+        (:meth:`_id_batches`).
         """
         return self._evaluate_bgp_values(patterns, initial, ())
 
@@ -367,11 +445,12 @@ class Evaluator:
             restrict.append((tuple([slot_vars.index(v) for v in block.variables]), keys))
         decode = dictionary.decode
         free = list(enumerate(slot_vars))[plan.bound_slots:]
-        for ids in plan.execute_ids(self.store, [row], self.stats, self.batch_size, restrict):
-            binding = dict(initial)
-            for slot, variable in free:
-                binding[variable] = decode(ids[slot])
-            yield binding
+        for batch in plan.execute_ids(self.store, [row], self.stats, self.batch_size, restrict):
+            for ids in batch:
+                binding = dict(initial)
+                for slot, variable in free:
+                    binding[variable] = decode(ids[slot])
+                yield binding
 
     def plan_for(
         self,
@@ -450,6 +529,17 @@ class Evaluator:
         return aggregate_solutions(group_by, query.aggregates, solutions)
 
 
+def _live(query: Query) -> Optional[FrozenSet[Variable]]:
+    """The variables a SELECT answer reads, when the answer cannot
+    observe how often a solution repeats (DISTINCT, or at most the first
+    row of an unordered answer); ``None`` when it can."""
+    if query.order_by or query.aggregates or query.group_by:
+        return None
+    if query.distinct or (query.offset == 0 and query.limit is not None and query.limit <= 1):
+        return frozenset(query.projected_variables())
+    return None
+
+
 def _is_semi_join(block: ValuesBlock, free: set) -> bool:
     """Joining ``block`` can neither bind anything nor multiply a solution:
     the BGP alone binds its variables (``free``), no UNDEF, no repeated row."""
@@ -501,14 +591,6 @@ def _order(result, order_by: List[Tuple[Variable, bool]]):
             indexes.append((result.variables.index(variable), ascending))
         except ValueError:
             continue
-
-    def key(row):
-        parts = []
-        for index, ascending in indexes:
-            cell = row[index]
-            cell_key = ("",) if cell is None else cell.sort_key()
-            parts.append(cell_key)
-        return tuple(parts)
 
     rows = list(result.rows)
     # Python's sort is stable: apply keys from the last to the first so

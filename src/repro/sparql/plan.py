@@ -21,9 +21,17 @@ with the classic plan-once / execute-batched split:
   batches, intermediate rows, per-phase wall time) so endpoint compute
   can be attributed end to end.
 
-Streams stay lazy at *block* granularity: each stage pulls at most
-``batch_size`` bindings from the stage above before producing output, so
-ASK / EXISTS still short-circuit after a bounded amount of work.
+Stages hand on lists of at most ``batch_size`` rows and re-cut their
+input into chunks of exactly ``batch_size``, so the kernel groups the
+rows a row stream would give it; output is sliced lazily off the
+kernel, so ASK / EXISTS / LIMIT still short-circuit after a bounded
+amount of work.
+
+Given the set of *live* variables (those the caller reads), a variable
+is **dead** at a pattern when it is not live and no later pattern
+mentions it.  A pattern whose new variables are all dead compiles to an
+*existence stage*: it binds nothing and passes each input row on at
+most once — sound wherever the caller cannot observe multiplicity.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ class EvaluatorStats:
     #: total BGP evaluation wall time (includes plan_seconds)
     exec_seconds: float = 0.0
     #: time spent decoding interned IDs back to terms at result
-    #: materialization (the select fast path's ID→term boundary)
+    #: materialization (the ID path's ID→term boundary)
     decode_seconds: float = 0.0
 
     _FIELDS = (
@@ -141,7 +149,9 @@ class BGPPlan:
     get no slot: the caller carries them past the BGP untouched.
     """
 
-    __slots__ = ("order", "store_version", "slot_vars", "bound_slots", "stages")
+    __slots__ = (
+        "order", "store_version", "slot_vars", "bound_slots", "stages", "_variants",
+    )
 
     def __init__(
         self,
@@ -178,6 +188,8 @@ class BGPPlan:
         self.stages: Optional[Tuple[tuple, ...]] = self._compile(
             store.dictionary.lookup
         )
+        #: :meth:`_stages_for` per ``live`` set
+        self._variants: Dict[FrozenSet[Variable], Optional[Tuple[tuple, ...]]] = {}
 
     def __repr__(self) -> str:
         inside = ", ".join(p.n3() for p in self.order)
@@ -242,6 +254,32 @@ class BGPPlan:
             bound_now.update(var_slot[v] for v in pattern.variables())
         return tuple(compiled)
 
+    def _stages_for(self, live: Optional[FrozenSet[Variable]]) -> Optional[Tuple[tuple, ...]]:
+        """:attr:`stages` with every pattern whose new variables are all
+        dead turned into an existence stage (no ``free`` slot; the
+        ``checks`` of a repeated dead variable stay).  A variable is dead
+        when it is not in ``live`` and no later pattern mentions it."""
+        if live is None or self.stages is None:
+            return self.stages
+        stages = self._variants.get(live)
+        if stages is None:
+            #: the index of the last pattern mentioning each variable
+            last = {v: k for k, pattern in enumerate(self.order) for v in pattern.variables()}
+
+            def dead(k: int, slot: int) -> bool:
+                variable = self.slot_vars[slot]
+                return variable not in live and last[variable] == k
+
+            stages = tuple(
+                (consts, bound_positions, key_slots, (), checks)
+                if free and all(dead(k, slot) for _, slot in free)
+                else (consts, bound_positions, key_slots, free, checks)
+                for k, (consts, bound_positions, key_slots, free, checks)
+                in enumerate(self.stages)
+            )
+            self._variants[live] = stages
+        return stages
+
     def execute_ids(
         self,
         store,
@@ -249,12 +287,20 @@ class BGPPlan:
         stats: EvaluatorStats = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         restrict: Sequence[Tuple[Tuple[int, ...], set]] = (),
-    ) -> Iterator[List[Optional[int]]]:
-        """Push slot-mapped ID rows through every pattern.
+        live: Optional[FrozenSet[Variable]] = None,
+    ) -> Iterator[List[List[Optional[int]]]]:
+        """Push slot-mapped ID rows through every pattern; yields lists
+        of at most ``batch_size`` output rows.
 
         ``rows`` are lists of interned IDs (or ``None``) aligned to
         :attr:`slot_vars`; output rows are fully extended copies in the
         same layout.  The entire pipeline hashes machine integers.
+
+        ``live`` names the variables the caller reads (``None``: all of
+        them).  Given it, a pattern that binds only dead variables is an
+        existence test: it binds nothing and passes each row on at most
+        once, so the caller must not observe multiplicity (ASK, DISTINCT,
+        one row, an EXISTS body).  Slots ``restrict`` names must be live.
 
         Each ``(slots, keys)`` in ``restrict`` is a semi-join: only rows
         whose IDs at the (free) ``slots`` form a tuple in ``keys``
@@ -269,14 +315,15 @@ class BGPPlan:
         """
         if stats is not None:
             stats.patterns_evaluated += len(self.order)
-        if self.stages is None:
+        stages = self._stages_for(live)
+        if stages is None:
             return iter(())
         filters = self._semi_join_filters(restrict) if restrict else {}
-        stream: Iterator[List[Optional[int]]] = iter(rows)
-        for index, stage in enumerate(self.stages):
+        stream: Iterator[list] = iter([list(rows)])
+        for index, stage in enumerate(stages):
             stream = _id_stage(store, stage, stream, stats, batch_size)
             for keep in filters.get(index, ()):
-                stream = filter(keep, stream)
+                stream = _kept(stream, keep)
         if stats is None:
             return stream
         return _count_rows(stream, stats)
@@ -298,30 +345,56 @@ class BGPPlan:
         return filters
 
 
-def _count_rows(stream: Iterator, stats: EvaluatorStats) -> Iterator:
+def _count_rows(stream: Iterator[list], stats: EvaluatorStats) -> Iterator[list]:
     """Count the pipeline's final output rows (inner stages count their
     input chunks, which are the upstream stages' outputs)."""
-    for row in stream:
-        stats.intermediate_rows += 1
-        yield row
+    for batch in stream:
+        stats.intermediate_rows += len(batch)
+        yield batch
+
+
+def _kept(stream: Iterator[list], keep) -> Iterator[list]:
+    """Each list of ``stream`` cut to the rows ``keep`` accepts."""
+    for batch in stream:
+        yield [row for row in batch if keep(row)]
+
+
+def _chunks(batches: Iterator[list], size: int) -> Iterator[list]:
+    """The rows of ``batches`` re-cut into lists of exactly ``size`` (the
+    last one shorter), pulling no list before it is needed."""
+    pending: list = []
+    for batch in batches:
+        if not pending and len(batch) == size:
+            yield batch
+            continue
+        pending += batch
+        while len(pending) >= size:
+            yield pending[:size]
+            del pending[:size]
+    if pending:
+        yield pending
 
 
 def _id_stage(
     store,
     stage: tuple,
-    upstream: Iterator[List[Optional[int]]],
+    upstream: Iterator[list],
     stats: EvaluatorStats,
     batch_size: int,
-) -> Iterator[List[Optional[int]]]:
-    """One ID pipeline stage: extend integer rows against one pattern."""
-    while True:
-        chunk = list(islice(upstream, batch_size))
-        if not chunk:
-            return
+) -> Iterator[list]:
+    """One ID pipeline stage: extend integer rows against one pattern.
+
+    Each chunk is exactly ``batch_size`` upstream rows, so the kernel
+    groups what a row stream would give it; its output leaves in lists
+    of at most ``batch_size``, sliced lazily, so a consumer that stops
+    also stops the index walk."""
+    for chunk in _chunks(upstream, batch_size):
         if stats is not None:
             stats.batches += 1
             stats.intermediate_rows += len(chunk)
-        yield from store.extend_id_rows(stage, chunk)
+        extended = store.extend_id_rows(stage, chunk)
+        while batch := list(islice(extended, batch_size)):
+            yield batch
 
 
 def build_plan(

@@ -180,11 +180,24 @@ class TripleStore:
         o = self._key(triple.object)
         if p is _ABSENT or o is _ABSENT:
             return False
-        return self._contains_ids(s, p, o)
+        return self._has_match(s, p, o)
 
-    def _contains_ids(self, s, p, o) -> bool:
-        objects = self._spo.get(s, {}).get(p)
-        return objects is not None and o in objects
+    def _has_match(self, s, p, o) -> bool:
+        """Whether any triple matches raw keys (``None`` positions are
+        wildcards): at most three dict lookups, no walk.  Empty index
+        levels are deleted on removal, so a present level is non-empty."""
+        if s is not None:
+            by_predicate = self._spo.get(s)
+            if by_predicate is None:
+                return False
+            if p is not None:
+                objects = by_predicate.get(p)
+                return objects is not None and (o is None or o in objects)
+            return o is None or s in self._osp.get(o, ())
+        if p is not None:
+            by_object = self._pos.get(p)
+            return by_object is not None and (o is None or o in by_object)
+        return bool(self._spo) if o is None else o in self._osp
 
     def __iter__(self) -> Iterator[Triple]:
         return self.triples()
@@ -311,6 +324,10 @@ class TripleStore:
         - ``checks``: ``(pos_a, pos_b)`` equality constraints from a
           repeated free variable.
 
+        A stage with no ``free`` slot is an *existence test*: each row
+        of a group passes on once if the pattern has any match (with
+        its dead variables as wildcards), else not at all.
+
         The contract mirrors the plan's static dataflow: every
         ``key_slots`` slot is non-``None`` in every row and every
         ``free`` slot is ``None`` — which lets all shape analysis happen
@@ -355,8 +372,15 @@ class TripleStore:
                 for pos, ki in bound_positions:
                     query[pos] = key[ki]
             if not free:
-                # Fully bound for this group: membership test only.
-                if self._contains_ids(query[0], query[1], query[2]):
+                if checks:
+                    # a repeated dead variable: walk to the first match
+                    hit = any(
+                        all(t[a] == t[b] for a, b in checks)
+                        for t in self._match_raw(query[0], query[1], query[2])
+                    )
+                else:
+                    hit = self._has_match(query[0], query[1], query[2])
+                if hit:
                     yield from members
                 continue
             stream = self._match_raw(query[0], query[1], query[2])

@@ -11,8 +11,10 @@ as alternative *modes* lives here as oracles instead:
   (NOT) EXISTS`` asked once per row, LIMIT applied to the fully
   materialised answer.  This is the **order** oracle: production's
   semi-join / batched-EXISTS / early-LIMIT paths must return its rows in
-  its order, and it overrides group evaluation wholesale so it never
-  runs the code it checks;
+  its order (except where dead variables let production drop
+  multiplicity — ASK, DISTINCT, ``LIMIT 1`` — which promise the set, or
+  a member of it), and it opts out of the ID path and overrides group
+  evaluation wholesale so it never runs the code it checks;
 - :class:`SeedEvaluator` — the same, with the seed's per-binding
   recursive joiner under it, which re-orders the remaining patterns by
   ``store.count`` for every intermediate binding and matches through
@@ -145,6 +147,12 @@ def _merge_compatible(solutions: Iterable[Binding], rows: List[list]) -> Iterato
 class RowAtATimeEvaluator(Evaluator):
     """The planned BGP pipeline; everything above it row at a time."""
 
+    def _id_batches(self, group, live):
+        # the ID path runs the pipeline and its EXISTS stages itself;
+        # without this a BGP group would never reach the code below (or
+        # SeedEvaluator's joiner)
+        return None
+
     def select(self, query):
         if query.limit is None or query.aggregates or query.group_by:
             return super().select(query)
@@ -183,11 +191,6 @@ class RowAtATimeEvaluator(Evaluator):
 
 class SeedEvaluator(RowAtATimeEvaluator):
     """The row-at-a-time evaluator with the seed's BGP joiner swapped in."""
-
-    def _select_bgp_fast(self, query):
-        # the decode-once shortcut runs the planned pipeline itself;
-        # without this a pure-BGP SELECT would never reach the joiner
-        return None
 
     def _evaluate_bgp(
         self, patterns: List[TriplePattern], initial: Binding

@@ -21,7 +21,7 @@ from repro.datasets.directory import (
     DIRECTORY_QUERY,
     build_directory_federation,
 )
-from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
+from repro.datasets.lubm import LUBM_QUERIES, UB_PREFIX, LubmGenerator
 from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
 from repro.federation import Federation
 from repro.rdf import IRI, Triple
@@ -106,6 +106,32 @@ class TestSchedulerAgainstTheOracle:
         query = LUBM_QUERIES[name]
         rows, _ = _run({}, _lubm_federation, query)
         assert rows == _union_graph_rows(_lubm_federation(), query)
+
+    def test_lubm_top_k_is_ordered_and_cut(self):
+        """ORDER BY / LIMIT over an aggregate, applied at the federator.
+        The oracle answers the grouping alone; the top-k cut is checked
+        by hand, because the oracle shares the evaluator's modifiers."""
+        grouped = (
+            f"SELECT ?c (COUNT(?x) AS ?n) WHERE {{ ?x <{UB_PREFIX}takesCourse> ?c }} "
+            "GROUP BY ?c"
+        )
+        everything = union_graph_answer(
+            (
+                federation.endpoint(endpoint_id).store.triples()
+                for federation in [_lubm_federation()]
+                for endpoint_id in federation.endpoint_ids
+            ),
+            grouped,
+        )
+        outcome = LusailEngine(_lubm_federation()).execute(
+            grouped + " ORDER BY DESC(?n) LIMIT 10"
+        )
+        assert outcome.status == "OK", outcome.error
+        top = outcome.result.rows
+        counts = sorted((int(n.lexical) for _, n in everything), reverse=True)
+        assert len(everything) > 10
+        assert [int(n.lexical) for _, n in top] == counts[:10]
+        assert set(top) <= everything
 
     def test_directory_matches_union_graph_and_overlaps(self):
         kwargs = {"values_block_size": 2, "delay_threshold": "mu",

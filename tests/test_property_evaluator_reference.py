@@ -13,7 +13,10 @@ the endpoint's batch paths twice over: as a multiset against the seed
 joiner, and **row for row in order** against the row-at-a-time
 evaluator (``RowAtATimeEvaluator``), which joins VALUES after the
 unbound BGP, asks EXISTS once per row and slices LIMIT off the fully
-materialised answer.
+materialised answer.  The dead-variable generator at the end covers the
+answers that cannot observe multiplicity (ASK, DISTINCT, ``LIMIT 1``),
+where the ID path turns patterns binding only unread variables into
+existence tests, and ``COUNT(*)``, where it must not.
 """
 
 from dataclasses import replace
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from repro.rdf import IRI, Triple, TriplePattern, Variable
 from repro.sparql import Evaluator
 from repro.sparql.ast import (
+    Aggregate,
     GroupPattern,
     MinusPattern,
     OptionalPattern,
@@ -287,4 +291,101 @@ def test_exists_filters_match_row_at_a_time(triples, query, batch_size):
     assert Evaluator(store, batch_size).ask(ask) == (
         RowAtATimeEvaluator(store, batch_size).ask(ask)
     )
+    assert len(store.dictionary) == size
+
+
+# ----------------------------------------------------------------------
+# Dead variables: answers whose multiplicity cannot be observed (ASK,
+# DISTINCT, LIMIT 1) and the one whose multiplicity is the answer
+# (COUNT(*)), against both oracles
+# ----------------------------------------------------------------------
+
+#: variables no generated projection names: dead wherever they occur
+_DEAD = [Variable("y"), Variable("z")]
+_dead_terms = st.one_of(
+    st.sampled_from(_TERMS + [_ABSENT]),
+    st.sampled_from(_VARIABLES + _DEAD),
+)
+_dead_patterns = st.builds(TriplePattern, _dead_terms, _dead_terms, _dead_terms)
+
+
+@st.composite
+def _repeated_dead_patterns(draw):
+    """A pattern whose only new variable is dead and repeated (``?z``
+    twice beside an outer variable or a constant): an existence test
+    that must still compare the two positions."""
+    anchor = draw(st.sampled_from(_VARIABLES + _TERMS + [_ABSENT]))
+    dead = draw(st.sampled_from(_DEAD))
+    return TriplePattern(*draw(st.permutations([anchor, dead, dead])))
+
+
+#: body terms: outer variables (correlated), ``?d`` and the dead pair
+#: (extra, uncorrelated or repeated), constants the store may not know
+_body_terms = st.one_of(
+    st.sampled_from(_TERMS + [_ABSENT]),
+    st.sampled_from(_VARIABLES + [_UNMENTIONED] + _DEAD),
+)
+_bodies = st.lists(
+    st.one_of(
+        st.builds(TriplePattern, _body_terms, _body_terms, _body_terms),
+        _repeated_dead_patterns(),
+    ),
+    min_size=1, max_size=2,
+)
+
+
+@st.composite
+def _dead_variable_groups(draw):
+    """1-3 patterns over projectable and dead variables (maybe one with
+    a repeated dead variable), under 0-2 (NOT) EXISTS filters."""
+    elements = list(draw(st.lists(_dead_patterns, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        elements.insert(
+            draw(st.integers(0, len(elements))), draw(_repeated_dead_patterns())
+        )
+    filters = [
+        ExistsExpr(group=GroupPattern(elements=list(body)), negated=draw(st.booleans()))
+        for body in draw(st.lists(_bodies, max_size=2))
+    ]
+    return GroupPattern(elements=elements, filters=filters)
+
+
+def _answer_rows(evaluator, query):
+    return {tuple(row) for row in evaluator.select(query).rows}
+
+
+@_examples(200)
+@given(
+    st.lists(_triples, max_size=12),
+    _dead_variable_groups(),
+    st.lists(st.sampled_from(_VARIABLES), min_size=1, max_size=2, unique=True),
+    st.sampled_from([1, 2, 256]),
+)
+def test_dead_variables_match_both_oracles(triples, group, projected, batch_size):
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    evaluator = Evaluator(store, batch_size)
+    oracles = [SeedEvaluator(store), RowAtATimeEvaluator(store, batch_size)]
+
+    ask = Query(form="ASK", where=group)
+    assert {evaluator.ask(ask)} == {oracle.ask(ask) for oracle in oracles}
+
+    count = Query(
+        form="SELECT", where=group,
+        aggregates=[Aggregate("COUNT", None, Variable("n"))],
+    )
+    counted = evaluator.select(count).rows
+    assert len(counted) == 1
+    assert all(oracle.select(count).rows == counted for oracle in oracles)
+
+    plain = Query(form="SELECT", where=group, select_variables=list(projected))
+    answers = [_answer_rows(oracle, plain) for oracle in oracles]
+    assert answers[0] == answers[1]
+    distinct = replace(plain, distinct=True)
+    assert _answer_rows(evaluator, distinct) == answers[0]
+    assert len(evaluator.select(distinct)) == len(answers[0])
+
+    first = evaluator.select(replace(plain, limit=1)).rows
+    assert len(first) == min(1, len(answers[0]))
+    assert set(first) <= answers[0]
     assert len(store.dictionary) == size

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.rdf import Literal, parse as nt_parse
+from repro.rdf import IRI, Literal, Triple, parse as nt_parse
+from repro.rdf.dictionary import TermDictionary
 from repro.sparql import Evaluator, parse_query
 from repro.store import TripleStore
+
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 DATA = """
 <http://u/kim> <http://ub/advisor> <http://u/tim> .
@@ -292,3 +295,42 @@ class TestBatchPathContracts:
         )
         assert (unbound[0], bound[0]) == (2, 1)
         assert bound[1] < unbound[1]
+
+    def test_a_check_that_proves_locality_never_expands_its_dead_matches(self):
+        """The Figure-5 check with no survivor walks its whole outer
+        pattern.  ``?z`` and ``?w`` are never read, so each of the 10 000
+        subjects is one row however many of its 5 + 5 matches exist."""
+        ub = "http://ub/"
+        triples = []
+        for i in range(10_000):
+            subject = IRI(f"http://u/s{i}")
+            triples.append(Triple(subject, IRI(RDF_TYPE), IRI(ub + "T")))
+            for j in range(5):
+                triples.append(Triple(subject, IRI(ub + "p"), IRI(f"http://u/o{j}")))
+                triples.append(Triple(subject, IRI(ub + "q"), IRI(f"http://u/w{j}")))
+        evaluator = Evaluator(TripleStore(triples))
+        found = rows(
+            evaluator,
+            f"SELECT ?s WHERE {{ ?s a <{ub}T> . ?s <{ub}p> ?z . "
+            f"FILTER NOT EXISTS {{ ?s <{ub}q> ?w }} }} LIMIT 1",
+        )
+        assert found == []
+        assert evaluator.stats.intermediate_rows <= 45_000
+
+    def test_count_star_decodes_nothing(self, monkeypatch):
+        store = TripleStore(
+            Triple(IRI(f"http://u/s{i}"), IRI("http://ub/p"), IRI(f"http://u/o{i % 7}"))
+            for i in range(50_000)
+        )
+        decoded = []
+        original = TermDictionary.decode
+        monkeypatch.setattr(
+            TermDictionary, "decode",
+            lambda self, tid: decoded.append(tid) or original(self, tid),
+        )
+        result = rows(
+            Evaluator(store),
+            "SELECT (COUNT(*) AS ?c) WHERE { ?s <http://ub/p> ?o }",
+        )
+        assert result == [(Literal.integer(50_000),)]
+        assert decoded == []

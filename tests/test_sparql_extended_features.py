@@ -119,6 +119,25 @@ class TestGroupByAggregates:
                 "SELECT ?s (COUNT(?d) AS ?n) WHERE { ?s <http://p/dept> ?d }"
             ))
 
+    def test_solution_modifiers_apply_after_grouping(self):
+        store = TripleStore(nt_parse("\n".join(
+            f"<http://x/s{i}> <http://p/g> <http://x/g{i % 3}> ." for i in range(9)
+        )))
+        evaluator = Evaluator(store)
+        grouped = "SELECT ?g (COUNT(*) AS ?c) WHERE { ?s <http://p/g> ?g } GROUP BY ?g "
+
+        def groups(text):
+            return [r[0].value[-2:] for r in evaluator.select(parse_query(text)).rows]
+
+        assert groups(grouped) == ["g0", "g1", "g2"]
+        assert groups(grouped + "ORDER BY DESC(?g)") == ["g2", "g1", "g0"]
+        assert groups(grouped + "ORDER BY DESC(?g) LIMIT 1") == ["g2"]
+        assert groups(grouped + "LIMIT 1") == ["g0"]
+        assert groups(grouped + "OFFSET 2") == ["g2"]
+        assert evaluator.select(parse_query(
+            "SELECT (COUNT(*) AS ?c) WHERE { ?s <http://p/g> ?g } LIMIT 0"
+        )).rows == []
+
     def test_sum_star_is_syntax_error(self):
         from repro.sparql import SparqlSyntaxError
 
