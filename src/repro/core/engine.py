@@ -114,7 +114,6 @@ class LusailEngine:
         max_retries: int = 2,
         partial_results: bool = False,
         breaker: bool = True,
-        hedge_threshold_seconds: Optional[float] = None,
         reset_request_windows: bool = True,
     ):
         self.federation = federation
@@ -137,11 +136,8 @@ class LusailEngine:
         #: (exponential, deterministically jittered) elapses.  Threshold
         #: and cooldown are the request handler's, not mirrored here.
         self.breaker = breaker
-        #: race requests slower than this against registered replicas
-        #: (tail-at-scale hedging); ``None`` leaves hedging off
-        self.hedge_threshold_seconds = hedge_threshold_seconds
         #: per-endpoint latency quantiles, shared across this engine's
-        #: queries so adaptive timeouts and hedging warm up once
+        #: queries so adaptive timeouts warm up once
         self.latency_tracker = LatencyTracker()
         #: engine-lifetime per-endpoint health rollup (breaker state,
         #: retry/failure counters) folded in as each query's request
@@ -415,7 +411,6 @@ class LusailEngine:
             ),
             latency_tracker=self.latency_tracker,
             request_timeout_seconds=request_timeout,
-            hedge_threshold_seconds=self.hedge_threshold_seconds,
         )
 
     def _make_evaluator(

@@ -163,20 +163,6 @@ def _render_deadline(event: TraceEvent) -> str:
     return f"deadline exceeded during {stage}{suffix}"
 
 
-@_renders("hedge")
-def _render_hedge(event: TraceEvent) -> str:
-    if event.detail.get("failed"):
-        return (f"hedged {event.detail.get('request_kind', 'request')} to "
-                f"{event.detail['replica']} FAILED; the slow primary "
-                f"{event.detail['endpoint']} stands")
-    outcome = "WON" if event.detail.get("won") else "lost"
-    return (f"hedged {event.detail.get('request_kind', 'request')}: "
-            f"{event.detail['endpoint']} exceeded its p95, replica "
-            f"{event.detail['replica']} {outcome} "
-            f"(primary {event.detail['primary_cost']:.3f}s vs hedged "
-            f"{event.detail['hedged_cost']:.3f}s)")
-
-
 @_renders("subquery_degraded")
 def _render_subquery_degraded(event: TraceEvent) -> str:
     return (f"subquery {event.detail['label']} DEGRADED: dropped the "

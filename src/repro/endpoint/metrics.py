@@ -130,14 +130,10 @@ class Metrics:
     #: requests whose remaining query budget cut them off (deadline
     #: binding is the *query's* fault, so no breaker blame accrues)
     deadline_exceeded: int = 0
-    #: speculative replica requests launched past the hedging trigger
-    hedges_launched: int = 0
-    #: hedged requests where the replica answered first
-    hedges_won: int = 0
     #: requests refused up front (submitted to a closed handler)
     sheds: int = 0
-    #: in-flight requests abandoned — hedge losers plus futures drained
-    #: unresolved at close(); their endpoints did the work for nothing
+    #: in-flight requests abandoned — futures drained unresolved at
+    #: close(); their endpoints did the work for nothing
     requests_cancelled: int = 0
     #: endpoint id -> {count, p50, p95, p99} from the latency tracker
     endpoint_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -241,8 +237,6 @@ class Metrics:
             "subqueries_degraded": self.subqueries_degraded,
             "timeouts": self.timeouts,
             "deadline_exceeded": self.deadline_exceeded,
-            "hedges_launched": self.hedges_launched,
-            "hedges_won": self.hedges_won,
             "sheds": self.sheds,
             "requests_cancelled": self.requests_cancelled,
             "result_cache_hits": self.result_cache_hits,

@@ -12,7 +12,7 @@ deadline-aware execution stack is built from:
 - :class:`LatencyTracker` — streaming per-endpoint latency quantiles
   (p50/p95/p99) via the fixed-size P² estimator of Jain & Chlamtác.
   The request handler derives **adaptive per-request timeouts** from a
-  warm endpoint's p95×k and uses the p95 as the hedging trigger.
+  warm endpoint's p95×k.
 - :class:`AdmissionController` — bounded concurrent-query admission
   with load shedding, the bookkeeping under the serving layer's
   ``QuerySessionManager``: an overloaded federator rejects work it

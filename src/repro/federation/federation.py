@@ -127,16 +127,15 @@ class Federation:
         replica is excluded from normal source selection; it only
         receives traffic when the primary fails past its retry budget
         and the engine is running in partial-results mode (the rerouting
-        of Montoya et al.'s replicated-fragment federations), or as a
-        hedge target.
+        of Montoya et al.'s replicated-fragment federations).
 
         With ``standby=False`` both copies stay active and the pair is
         declared as a full-replica fragment: source selection queries
         exactly one copy per query, chosen by the engine's
         :class:`~repro.federation.routing.ReplicaRouter` load/latency
         score — replication as *routing*, not just failover.  The
-        replica link is still recorded, so hedging and failure rerouting
-        keep working.
+        replica link is still recorded, so failure rerouting keeps
+        working.
         """
         self._require_endpoint(primary_id, "primary")
         self._require_endpoint(replica_id, "replica")

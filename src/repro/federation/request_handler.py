@@ -28,18 +28,16 @@ exactly the effect the paper measures against.
 
 **Deadline-aware execution.**  When the context carries a
 :class:`~repro.federation.deadline.Deadline`, request time is bounded
-three ways, all applied at *scheduling* time so both execution modes
+two ways, both applied at *scheduling* time so both execution modes
 agree bit for bit:
 
 - **adaptive timeouts** — each request's chargeable time is capped at
-  the endpoint's tracked p95 × ``adaptive_timeout_multiplier`` (clamped
-  between ``timeout_floor_seconds`` and the configured default, which
-  also serves until the endpoint's latency history warms up); blowing
-  the cap raises :class:`RequestTimeoutError` and feeds the breaker;
-- **hedged requests** — a response slower than the endpoint's p95 (or
-  the static ``hedge_threshold_seconds``, whichever is smaller) is
-  raced against its registered replica; the first answer wins and the
-  loser is cancel-accounted (tail-at-scale hedging);
+  the endpoint's tracked p95 × :data:`ADAPTIVE_TIMEOUT_MULTIPLIER`
+  (clamped between :data:`TIMEOUT_FLOOR_SECONDS` and the configured
+  default, which also serves until the endpoint's latency history
+  warms up); blowing the cap raises :class:`RequestTimeoutError`, a
+  failure the caller may reroute to the endpoint's standby replica,
+  and feeds the breaker;
 - **deadline clamps** — whatever remains of the query budget at a
   request's *lane start* bounds its charge, so the virtual completion
   time provably never exceeds ``deadline + one request timeout``;
@@ -52,7 +50,7 @@ per-request attempt clock, picked once from the endpoint, says what an
 attempt cost, how a backoff is spent and whether the per-request budget
 binds up front.  The only thing scheduling ever asks of an answer is
 whether its cost was measured — a measured answer is never re-censored
-or raced post hoc against a replica.
+post hoc.
 
 With ``use_threads=True`` submissions additionally run on a real
 :class:`~concurrent.futures.ThreadPoolExecutor` (the paper's setup);
@@ -64,11 +62,9 @@ serialize their own :meth:`~repro.endpoint.local.LocalEndpoint.execute`
 the serving layer keep the evaluator counters coherent too).
 
 ``close()`` is idempotent and safe to call from any thread, including
-while hedged requests are unresolved: the drain never launches new
-hedges (a drained future's answer is never read, so racing a replica
-for it would double-charge the replica's lane for nothing), abandoned
-futures are counted as cancelled exactly once, and submissions arriving
-after close are shed without touching the executor.
+while requests are unresolved: abandoned futures are counted as
+cancelled exactly once, and submissions arriving after close are shed
+without touching the executor.
 """
 
 from __future__ import annotations
@@ -101,6 +97,15 @@ from .federation import Federation
 #: one is wanted (a bare handler runs without; the engine's ``breaker``
 #: knob asks for this)
 DEFAULT_BREAKER_THRESHOLD = 3
+#: virtual seconds an opened breaker stays open before its half-open
+#: probe; doubled per consecutive reopen, deterministically jittered
+BREAKER_COOLDOWN_SECONDS = 1.0
+#: k in the adaptive per-request timeout p95 × k
+ADAPTIVE_TIMEOUT_MULTIPLIER = 4.0
+#: the adaptive timeout never drops below this
+TIMEOUT_FLOOR_SECONDS = 0.05
+#: observations an endpoint needs before its p95 is trusted
+TIMEOUT_WARMUP = 8
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ class Response:
     failed_attempts: int = 0
     #: ``cost_seconds`` is *measured* wall time from a real endpoint
     #: (remote HTTP member), not a virtual-model prediction; such
-    #: responses are exempt from retroactive timeout censoring and from
-    #: post-hoc hedging, both of which only make sense for modeled costs
+    #: responses are exempt from retroactive timeout censoring, which
+    #: only makes sense for modeled costs
     wall_clock: bool = False
     #: the endpoint itself flagged this answer as incomplete
     partial: bool = False
@@ -296,13 +301,8 @@ class ElasticRequestHandler:
         max_retries: int = 2,
         retry_backoff_seconds: float = 0.25,
         breaker_threshold: Optional[int] = None,
-        breaker_cooldown_seconds: float = 1.0,
         latency_tracker: Optional[LatencyTracker] = None,
         request_timeout_seconds: Optional[float] = None,
-        adaptive_timeout_multiplier: Optional[float] = 4.0,
-        timeout_floor_seconds: float = 0.05,
-        timeout_warmup: int = 8,
-        hedge_threshold_seconds: Optional[float] = None,
     ):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -318,17 +318,6 @@ class ElasticRequestHandler:
         #: static per-request timeout — the cold-start default and the
         #: ceiling the adaptive timeout is clamped to; None = unbounded
         self.request_timeout_seconds = request_timeout_seconds
-        #: k in the adaptive timeout p95 × k; None disables adaptation
-        self.adaptive_timeout_multiplier = adaptive_timeout_multiplier
-        self.timeout_floor_seconds = timeout_floor_seconds
-        #: observations an endpoint needs before its p95 is trusted
-        self.timeout_warmup = max(1, timeout_warmup)
-        #: static hedging trigger, and the switch: slow requests are
-        #: raced against the endpoint's registered replica iff this is
-        #: set.  The effective trigger is the smaller of this and the
-        #: endpoint's warm p95 (a steady straggler's own p95 is high —
-        #: the floor keeps hedging armed against it)
-        self.hedge_threshold_seconds = hedge_threshold_seconds
         #: futures drained unresolved by close() — work abandoned
         #: mid-flight whose answers nobody read
         self.cancelled = 0
@@ -340,7 +329,6 @@ class ElasticRequestHandler:
         #: consecutive exhausted failures that open an endpoint's
         #: circuit breaker; ``None`` disables the breaker
         self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
         #: endpoint id -> breaker/health state (created on first trouble)
         self._health: Dict[str, _EndpointHealth] = {}
         #: endpoint id -> failure/retry/timeout counters (operator view;
@@ -360,9 +348,6 @@ class ElasticRequestHandler:
         self._sched_lock = threading.RLock()
         #: set once by close(); later submissions shed, later closes no-op
         self._closed = False
-        #: True only while close() drains — suppresses new hedges, whose
-        #: answers nobody would read
-        self._draining = False
 
     def close(self) -> None:
         # Submitted-but-ungathered futures (e.g. the engine aborted
@@ -380,18 +365,14 @@ class ElasticRequestHandler:
             if self._closed:
                 return
             self._closed = True
-            self._draining = True
-            try:
-                abandoned = len(self._pending)
-                while self._pending:
-                    self._schedule_next()
-                self.cancelled += abandoned
-                self.context.metrics.requests_cancelled += abandoned
-                health = self.health_snapshot()
-                if health:
-                    self.context.metrics.endpoint_health = health
-            finally:
-                self._draining = False
+            abandoned = len(self._pending)
+            while self._pending:
+                self._schedule_next()
+            self.cancelled += abandoned
+            self.context.metrics.requests_cancelled += abandoned
+            health = self.health_snapshot()
+            if health:
+                self.context.metrics.endpoint_health = health
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -600,19 +581,13 @@ class ElasticRequestHandler:
         no timeout at all (the pre-deadline behaviour).
         """
         ceiling = self.request_timeout_seconds
-        multiplier = self.adaptive_timeout_multiplier
-        if ceiling is None or multiplier is None:
+        if ceiling is None or self.latency.count(endpoint_id) < TIMEOUT_WARMUP:
             return ceiling
-        p95 = self._warm_p95(endpoint_id)
-        if p95 is None:
-            return ceiling
-        return min(max(p95 * multiplier, self.timeout_floor_seconds), ceiling)
-
-    def _warm_p95(self, endpoint_id: str) -> Optional[float]:
-        """The endpoint's tracked p95, once its history is warm."""
-        if self.latency.count(endpoint_id) < self.timeout_warmup:
-            return None
-        return self.latency.quantile(endpoint_id, 0.95)
+        p95 = self.latency.quantile(endpoint_id, 0.95)
+        return min(
+            max(p95 * ADAPTIVE_TIMEOUT_MULTIPLIER, TIMEOUT_FLOOR_SECONDS),
+            ceiling,
+        )
 
     def _deadline_rejects(self, request: Request,
                           future: ResponseFuture) -> bool:
@@ -717,7 +692,7 @@ class ElasticRequestHandler:
             return
         health.open_count += 1
         cooldown = (
-            self.breaker_cooldown_seconds
+            BREAKER_COOLDOWN_SECONDS
             * (2.0 ** (health.open_count - 1))
             * (1.0 + 0.1 * _jitter_fraction(endpoint_id, health.open_count))
         )
@@ -896,128 +871,16 @@ class ElasticRequestHandler:
                 response.failed_attempts,
                 bytes_sent * response.failed_attempts,
             )
-        # Hedging and censoring are both *post hoc*: a modeled cost is
-        # known at scheduling time, so the simulator can pretend a replica
-        # was launched mid-flight or that the client cancelled at a
+        # Censoring is *post hoc*: a modeled cost is known at scheduling
+        # time, so the simulator can pretend the client cancelled at a
         # predicted instant.  A measured answer has already really
-        # arrived, inside a budget its socket enforced — racing it now
-        # could only duplicate work, censoring it would discard an answer
-        # the client read — so it skips both and is scheduled as it is.
+        # arrived, inside a budget its socket enforced — censoring it
+        # would discard an answer the client read — so it is scheduled
+        # as it is.
         verdict = (response.cost_seconds, False, False)
         if not response.wall_clock:
-            response = self._maybe_hedge(future, endpoint_id, response)
             verdict = self._censor(future, endpoint_id, response.cost_seconds)
         self._finish_success(future, endpoint_id, response, *verdict)
-
-    # -- hedged requests ---------------------------------------------------
-
-    def _hedge_trigger(self, endpoint_id: str) -> float:
-        """Latency past which a request is worth racing against the
-        endpoint's replica: the smaller of the warm p95 and the static
-        threshold (a steady straggler's own p95 is high — the static
-        floor keeps hedging armed against it)."""
-        trigger = self.hedge_threshold_seconds
-        p95 = self._warm_p95(endpoint_id)
-        return trigger if p95 is None else min(trigger, p95)
-
-    def _charge_hedge_lane(self, endpoint_id: str, launched_at: float,
-                           cost_seconds: float) -> None:
-        """Hold replica lane time for a hedge.  Hedges are speculative
-        duplicates riding on spare capacity, so they occupy their
-        endpoint's lane but not a pool worker slot."""
-        if cost_seconds <= 0:
-            return
-        begin = max(launched_at, self._lane_free.get(endpoint_id, 0.0))
-        self._lane_free[endpoint_id] = begin + cost_seconds
-        lanes = self.context.metrics.lane_busy_seconds
-        lanes[endpoint_id] = lanes.get(endpoint_id, 0.0) + cost_seconds
-
-    def _maybe_hedge(self, future: ResponseFuture, endpoint_id: str,
-                     response: Response) -> Response:
-        """Race a slow response against the endpoint's replica.
-
-        The primary's cost is known at scheduling time, so the hedge
-        models a client that launched the duplicate once the trigger
-        elapsed and took whichever answer landed first.  The loser is
-        cancel-accounted: its lane time is held only up to the moment
-        the winner answered, and ``requests_cancelled`` counts it.
-        The hedge is performed on the orchestrating thread in both
-        execution modes, keeping them bit-identical.  During a close()
-        drain no hedge is ever launched: the drained future's answer is
-        never read, so the speculative replica request would write to a
-        dead future and charge its lane for work nobody wanted.
-        """
-        if self.hedge_threshold_seconds is None or self._draining:
-            return response
-        replica_id = self.federation.replica_of(endpoint_id)
-        if replica_id is None:
-            return response
-        trigger = self._hedge_trigger(endpoint_id)
-        if response.cost_seconds <= trigger:
-            return response
-        metrics = self.context.metrics
-        metrics.hedges_launched += 1
-        request = future.request
-        hedge_request = Request(replica_id, request.query_text, request.kind)
-        launched_at = self._lane_start(future, endpoint_id) + trigger
-        try:
-            hedge_response, hedge_sent, hedge_received = self._perform(
-                hedge_request, self._timeout_for(replica_id)
-            )
-        except Exception as error:
-            # The replica failed too — the primary answer stands; the
-            # replica's attempts and lane time are still accounted.
-            self._account_retries(replica_id, request.kind, error=error)
-            self._charge_hedge_lane(
-                replica_id, launched_at, getattr(error, "virtual_cost", 0.0)
-            )
-            self.context.trace_event(
-                "hedge",
-                endpoint=endpoint_id,
-                replica=replica_id,
-                request_kind=request.kind,
-                won=False,
-                failed=True,
-                primary_cost=response.cost_seconds,
-            )
-            return response
-        self._record(hedge_response, hedge_sent, hedge_received)
-        hedged_cost = trigger + hedge_response.cost_seconds
-        won = hedged_cost < response.cost_seconds
-        metrics.requests_cancelled += 1  # whichever lost was abandoned
-        if won:
-            metrics.hedges_won += 1
-            self.latency.observe(replica_id, hedge_response.cost_seconds)
-            self._charge_hedge_lane(
-                replica_id, launched_at, hedge_response.cost_seconds
-            )
-            winner = Response(
-                request=request,
-                value=hedge_response.value,
-                cost_seconds=hedged_cost,
-                compute=hedge_response.compute,
-                failed_attempts=response.failed_attempts,
-            )
-        else:
-            # The primary answered first: the replica worked only from
-            # the hedge launch until that moment, then was cancelled.
-            replica_busy = min(
-                hedge_response.cost_seconds,
-                max(0.0, response.cost_seconds - trigger),
-            )
-            self.latency.observe(replica_id, replica_busy)
-            self._charge_hedge_lane(replica_id, launched_at, replica_busy)
-            winner = response
-        self.context.trace_event(
-            "hedge",
-            endpoint=endpoint_id,
-            replica=replica_id,
-            request_kind=request.kind,
-            won=won,
-            primary_cost=response.cost_seconds,
-            hedged_cost=hedged_cost,
-        )
-        return winner
 
     def _finish_success(self, future: ResponseFuture, endpoint_id: str,
                         response: Response, allowed: float,

@@ -18,8 +18,6 @@ REPLICA_ENDPOINT = "university1-replica"
 
 #: added latency of the straggler endpoint (roughly 10x a healthy call)
 STRAGGLER_SPIKE_SECONDS = 0.25
-#: hedge as soon as a request runs this far past the usual latency
-HEDGE_THRESHOLD_SECONDS = 0.02
 #: "stalled forever" relative to any reasonable query budget
 STALL_SECONDS = 1e6
 

@@ -281,8 +281,7 @@ class TestCircuitBreaker:
             ep2_profile=FaultProfile.always_down()
         )
         return _handler(
-            federation, max_retries=1, breaker_threshold=2,
-            breaker_cooldown_seconds=1.0, **kwargs
+            federation, max_retries=1, breaker_threshold=2, **kwargs
         )
 
     def _fail_once(self, handler):

@@ -1,6 +1,6 @@
-"""The knob budget, the row-order contract, the accounting contract of
-the one store / one evaluator / one scheduler, and the one benchmark
-system.
+"""The knob budget, the counter names a ``/stats`` scraper reads, the
+row-order contract, the accounting contract of the one store / one
+evaluator / one scheduler, and the one benchmark system.
 
 ``src/`` used to keep every superseded storage, evaluation and
 scheduling path behind an ablation knob (``use_columnar``, ``shards``,
@@ -9,17 +9,25 @@ scheduling path behind an ablation knob (``use_columnar``, ``shards``,
 nobody set (``join_threads``, ``breaker_threshold``,
 ``breaker_cooldown_seconds``, ``request_timeout_seconds``,
 ``max_inflight``, ``admission``, ``hedge_requests``), plus a
-``result_cache`` switch only a deleted harness flipped.  They are gone;
-the signatures below are pinned so one cannot come back without a diff
-to this file.
+``result_cache`` switch only a deleted harness flipped.  The simulated
+replica race (``hedge_threshold_seconds``, on the engine and the
+handler) and four handler settings only tests ever set
+(``breaker_cooldown_seconds``, ``adaptive_timeout_multiplier``,
+``timeout_floor_seconds``, ``timeout_warmup`` — now module constants
+in ``federation/request_handler.py``) went the same way.  They are
+gone; the signatures below are pinned so one cannot come back without
+a diff to this file, and so are the fixed ``Metrics.snapshot()`` keys,
+so a deleted ``/stats`` counter is a diff here too.
 
 Row *order* used to be pinned only by mode-vs-mode identity tests.  With
 one mode left, it is pinned by digests of LUBM Q1–Q4 taken at the commit
 that still had the other modes (``b0fdb09``).  Request, byte, clock and
 scheduler *accounting* is pinned the same way, by counters taken at the
 last commit with two dispatch paths (``052c3fa``); retry, breaker,
-refusal, hedge and timeout accounting under injected faults by counters
-taken at the last commit with two ERH retry loops (``7048a24``).
+refusal and timeout accounting under injected faults by counters
+taken at the last commit with two ERH retry loops (``7048a24``); the
+straggler rows, at the last commit with the simulated replica race
+(``833b21b``).
 
 Wall-clock claims have one home, ``python3 ledger/run.py``; behavioural
 gates have one home, this suite.  The ``BENCH_*.json`` snapshot
@@ -47,7 +55,6 @@ from repro.store import TripleStore
 
 from .faulted import (
     DOWN_ENDPOINT,
-    HEDGE_THRESHOLD_SECONDS,
     STRAGGLER_SPIKE_SECONDS,
     build_faulted_federation,
 )
@@ -78,21 +85,48 @@ def _parameters(function):
     (LusailEngine.__init__, [
         "federation", "pool_size", "delay_threshold", "enable_sape",
         "use_cache", "strict_checks", "values_block_size", "use_threads",
-        "max_retries", "partial_results", "breaker",
-        "hedge_threshold_seconds", "reset_request_windows",
+        "max_retries", "partial_results", "breaker", "reset_request_windows",
     ]),
-    # retry / breaker / timeout / hedge policy lives here and only here:
-    # the engine passes what it owns or derives, never a mirror of these
+    # what the engine passes the handler; breaker cooldown and the
+    # adaptive-timeout multiplier, floor and warm-up are module constants
     (ElasticRequestHandler.__init__, [
         "federation", "context", "pool_size", "use_threads", "max_retries",
-        "retry_backoff_seconds", "breaker_threshold",
-        "breaker_cooldown_seconds", "latency_tracker",
-        "request_timeout_seconds", "adaptive_timeout_multiplier",
-        "timeout_floor_seconds", "timeout_warmup", "hedge_threshold_seconds",
+        "retry_backoff_seconds", "breaker_threshold", "latency_tracker",
+        "request_timeout_seconds",
     ]),
 ])
 def test_exact_parameter_names(function, expected):
     assert _parameters(function) == expected
+
+
+#: ``Metrics.snapshot()``'s fixed keys, in order — what ``/stats``
+#: exports per query; the ``phase:``, ``evaluator:`` and ``latency:``
+#: families are keyed by phase, counter and endpoint
+_SNAPSHOT_KEYS = [
+    "requests", "ask_requests", "select_requests", "bytes_sent",
+    "bytes_received", "virtual_seconds", "peak_intermediate_rows",
+    "cache_hits", "inflight_high_water", "scheduler_waves",
+    "lane_utilization", "requests_failed", "retries", "breaker_opens",
+    "breaker_fast_fails", "subqueries_degraded", "timeouts",
+    "deadline_exceeded", "sheds", "requests_cancelled",
+    "result_cache_hits", "result_cache_misses", "requests_avoided",
+    "fragment_pruned", "replica_routes", "batches_routed", "replans",
+    "ttfb_seconds", "values_dispatches_partial",
+]
+
+
+def test_snapshot_counter_names():
+    federation = LubmGenerator(universities=1).build_federation()
+    snapshot = LusailEngine(federation).execute(
+        LUBM_QUERIES["Q1"]
+    ).metrics.snapshot()
+    dynamic = ("phase:", "evaluator:", "latency:")
+    assert {key.split(":")[0] + ":" for key in snapshot if ":" in key} == set(
+        dynamic
+    )
+    assert [
+        key for key in snapshot if not key.startswith(dynamic)
+    ] == _SNAPSHOT_KEYS
 
 
 def test_src_imports_only_stdlib():
@@ -233,8 +267,9 @@ _FAULTED_WORKLOADS = {
     "rate-limit": (lambda: LusailEngine(
         _faulted(FaultProfile(requests_per_query=4)), partial_results=True
     ), {}),
-    # one member ~10x slow, raced against its standby replica
-    "straggler-hedge": (lambda: LusailEngine(
+    # one member ~10x slow, with a standby replica: a spike is not a
+    # failure, so nothing reroutes and the query waits on the slow lane
+    "straggler": (lambda: LusailEngine(
         _faulted(
             FaultProfile(
                 latency_spike_rate=1.0,
@@ -242,7 +277,6 @@ _FAULTED_WORKLOADS = {
             ),
             with_replica=True,
         ),
-        hedge_threshold_seconds=HEDGE_THRESHOLD_SECONDS,
     ), {}),
     # one member hard down under a budget: exhausted retries outlast
     # the per-request timeout the deadline implies
@@ -253,28 +287,28 @@ _FAULTED_WORKLOADS = {
 
 #: (workload, query, entry point) -> [cold run, repeat on the same
 #: engine], each (status, requests, requests_failed, retries, bytes_sent,
-#: virtual seconds, timeouts, breaker_opens, hedges_won)
+#: virtual seconds, timeouts, breaker_opens)
 _GOLDEN_FAULTED = {
-    ("flaky", "Q2", "execute"): [("OK", 30, 7, 7, 8366, 1.349005485, 0, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
-    ("flaky", "Q2", "execute_streaming"): [("OK", 30, 7, 7, 8366, 1.349005485, 0, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
-    ("flaky", "Q4", "execute"): [("OK", 50, 11, 11, 10096, 2.640129315, 0, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
-    ("flaky", "Q4", "execute_streaming"): [("OK", 50, 11, 11, 10096, 2.640129315, 0, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
-    ("outage", "Q2", "execute"): [("PARTIAL", 15, 9, 6, 4683, 5.653065972, 0, 1, 0), ("PARTIAL", 0, 9, 6, 1188, 5.647016512, 0, 1, 0)],
-    ("outage", "Q2", "execute_streaming"): [("PARTIAL", 15, 9, 6, 4683, 5.653065972, 0, 1, 0), ("PARTIAL", 0, 9, 6, 1188, 5.647016512, 0, 1, 0)],
-    ("outage", "Q4", "execute"): [("PARTIAL", 25, 9, 6, 5107, 5.562886305, 0, 1, 0), ("PARTIAL", 0, 9, 6, 873, 5.551805297, 0, 1, 0)],
-    ("outage", "Q4", "execute_streaming"): [("PARTIAL", 25, 9, 6, 5107, 5.562886243, 0, 1, 0), ("PARTIAL", 0, 9, 6, 873, 5.551805297, 0, 1, 0)],
-    ("rate-limit", "Q2", "execute"): [("PARTIAL", 23, 7, 0, 4633, 0.009678435, 0, 1, 0), ("PARTIAL", 12, 6, 0, 4487, 0.006639893, 0, 1, 0)],
-    ("rate-limit", "Q2", "execute_streaming"): [("PARTIAL", 23, 7, 0, 4633, 0.00967431, 0, 1, 0), ("PARTIAL", 12, 6, 0, 4487, 0.006640143, 0, 1, 0)],
-    ("rate-limit", "Q4", "execute"): [("PARTIAL", 30, 13, 0, 8927, 0.013281573, 0, 1, 0), ("PARTIAL", 8, 15, 0, 4073, 0.010085974, 0, 1, 0)],
-    ("rate-limit", "Q4", "execute_streaming"): [("PARTIAL", 30, 13, 0, 7467, 0.013261956, 0, 1, 0), ("PARTIAL", 8, 15, 0, 4073, 0.010085975, 0, 1, 0)],
-    ("straggler-hedge", "Q2", "execute"): [("OK", 45, 0, 0, 10485, 0.307554512, 0, 0, 15), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
-    ("straggler-hedge", "Q2", "execute_streaming"): [("OK", 45, 0, 0, 10485, 0.307554512, 0, 0, 15), ("OK", 0, 0, 0, 0, 0.0, 0, 0, 0)],
-    ("straggler-hedge", "Q4", "execute"): [("OK", 75, 0, 0, 12534, 0.512620377, 0, 0, 25), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
-    ("straggler-hedge", "Q4", "execute_streaming"): [("OK", 75, 0, 0, 12534, 0.512620377, 0, 0, 25), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0, 0)],
-    ("deadline-outage", "Q2", "execute"): [("PARTIAL", 18, 15, 12, 5562, 1.507671121, 3, 1, 0), ("PARTIAL", 8, 15, 12, 4247, 1.500010125, 3, 1, 0)],
-    ("deadline-outage", "Q2", "execute_streaming"): [("PARTIAL", 18, 15, 12, 5562, 1.507671121, 3, 1, 0), ("PARTIAL", 8, 15, 12, 4247, 1.500010125, 3, 1, 0)],
-    ("deadline-outage", "Q4", "execute"): [("PARTIAL", 23, 15, 12, 5069, 1.510253011, 3, 1, 0), ("PARTIAL", 11, 15, 12, 3894, 1.500018062, 3, 1, 0)],
-    ("deadline-outage", "Q4", "execute_streaming"): [("PARTIAL", 23, 15, 12, 5069, 1.510260261, 3, 1, 0), ("PARTIAL", 11, 15, 12, 3894, 1.500025312, 3, 1, 0)],
+    ("flaky", "Q2", "execute"): [("OK", 30, 7, 7, 8366, 1.349005485, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0)],
+    ("flaky", "Q2", "execute_streaming"): [("OK", 30, 7, 7, 8366, 1.349005485, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0)],
+    ("flaky", "Q4", "execute"): [("OK", 50, 11, 11, 10096, 2.640129315, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0)],
+    ("flaky", "Q4", "execute_streaming"): [("OK", 50, 11, 11, 10096, 2.640129315, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0)],
+    ("outage", "Q2", "execute"): [("PARTIAL", 15, 9, 6, 4683, 5.653065972, 0, 1), ("PARTIAL", 0, 9, 6, 1188, 5.647016512, 0, 1)],
+    ("outage", "Q2", "execute_streaming"): [("PARTIAL", 15, 9, 6, 4683, 5.653065972, 0, 1), ("PARTIAL", 0, 9, 6, 1188, 5.647016512, 0, 1)],
+    ("outage", "Q4", "execute"): [("PARTIAL", 25, 9, 6, 5107, 5.562886305, 0, 1), ("PARTIAL", 0, 9, 6, 873, 5.551805297, 0, 1)],
+    ("outage", "Q4", "execute_streaming"): [("PARTIAL", 25, 9, 6, 5107, 5.562886243, 0, 1), ("PARTIAL", 0, 9, 6, 873, 5.551805297, 0, 1)],
+    ("rate-limit", "Q2", "execute"): [("PARTIAL", 23, 7, 0, 4633, 0.009678435, 0, 1), ("PARTIAL", 12, 6, 0, 4487, 0.006639893, 0, 1)],
+    ("rate-limit", "Q2", "execute_streaming"): [("PARTIAL", 23, 7, 0, 4633, 0.00967431, 0, 1), ("PARTIAL", 12, 6, 0, 4487, 0.006640143, 0, 1)],
+    ("rate-limit", "Q4", "execute"): [("PARTIAL", 30, 13, 0, 8927, 0.013281573, 0, 1), ("PARTIAL", 8, 15, 0, 4073, 0.010085974, 0, 1)],
+    ("rate-limit", "Q4", "execute_streaming"): [("PARTIAL", 30, 13, 0, 7467, 0.013261956, 0, 1), ("PARTIAL", 8, 15, 0, 4073, 0.010085975, 0, 1)],
+    ("straggler", "Q2", "execute"): [("OK", 30, 0, 0, 6990, 3.757554512, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0)],
+    ("straggler", "Q2", "execute_streaming"): [("OK", 30, 0, 0, 6990, 3.757554512, 0, 0), ("OK", 0, 0, 0, 0, 0.0, 0, 0)],
+    ("straggler", "Q4", "execute"): [("OK", 50, 0, 0, 8356, 6.262620377, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0)],
+    ("straggler", "Q4", "execute_streaming"): [("OK", 50, 0, 0, 8356, 6.262620377, 0, 0), ("OK", 0, 0, 0, 0, 6.625e-06, 0, 0)],
+    ("deadline-outage", "Q2", "execute"): [("PARTIAL", 18, 15, 12, 5562, 1.507671121, 3, 1), ("PARTIAL", 8, 15, 12, 4247, 1.500010125, 3, 1)],
+    ("deadline-outage", "Q2", "execute_streaming"): [("PARTIAL", 18, 15, 12, 5562, 1.507671121, 3, 1), ("PARTIAL", 8, 15, 12, 4247, 1.500010125, 3, 1)],
+    ("deadline-outage", "Q4", "execute"): [("PARTIAL", 23, 15, 12, 5069, 1.510253011, 3, 1), ("PARTIAL", 11, 15, 12, 3894, 1.500018062, 3, 1)],
+    ("deadline-outage", "Q4", "execute_streaming"): [("PARTIAL", 23, 15, 12, 5069, 1.510260261, 3, 1), ("PARTIAL", 11, 15, 12, 3894, 1.500025312, 3, 1)],
 }
 
 
@@ -302,7 +336,6 @@ def test_faulted_accounting_matches_the_two_loop_commit(
             round(metrics.virtual_seconds, 9),
             metrics.timeouts,
             metrics.breaker_opens,
-            metrics.hedges_won,
         ))
     assert observed == _GOLDEN_FAULTED[(name, query, entry_point)]
 
