@@ -158,9 +158,10 @@ class LusailEngine:
         self.result_cache: Optional[ResultCache] = (
             ResultCache() if use_cache else None
         )
-        #: routes declared replicated fragments to their least-loaded
-        #: copy; engine-lifetime so round-robin rotation and latency
-        #: history persist across queries
+        #: picks the copy of each declared fragment a query uses (the
+        #: least-loaded for ``balanced``, the first for ``failover``);
+        #: engine-lifetime so round-robin rotation and latency history
+        #: persist across queries
         self.replica_router = ReplicaRouter(self.latency_tracker)
         #: reset per-query endpoint rate-limit windows at query setup
         #: (the single-caller default).  The serving layer turns this

@@ -36,6 +36,7 @@ from ..federation.request_handler import (
     ResponseFuture,
 )
 from ..federation.result_cache import ResultCache, subquery_cache_key
+from ..federation.routing import fail_over
 from .joins import hash_join, union_all
 from .optimizer import Relation, refine_with_bindings
 from .subquery import Subquery
@@ -75,8 +76,8 @@ class Contribution:
     Requested by :meth:`SubqueryDispatcher.request`: a result-cache hit
     arrives with ``value`` set and no ``future``; a miss is in flight on
     ``future`` until :meth:`SubqueryDispatcher.settle` fills ``value``
-    (repointing ``endpoint_id`` / ``future`` at the replica when a
-    reroute answered instead).
+    (repointing ``endpoint_id`` / ``future`` at the fragment sibling
+    that answered when the endpoint failed).
     """
 
     subquery: Subquery
@@ -109,8 +110,8 @@ class SubqueryDispatcher:
     settles each answer as it goes.  *Request* and *settle* are separate
     steps so each keeps its own ordering; everything between them —
     result-cache lookup and store, the cached-unconstrained local
-    filter, VALUES-block planning, bound-ASK source refinement, replica
-    reroute, degradation marking — is written once, here.
+    filter, VALUES-block planning, bound-ASK source refinement, failover
+    to a fragment sibling, degradation marking — is written once, here.
     """
 
     def __init__(
@@ -249,14 +250,14 @@ class SubqueryDispatcher:
     def settle(self, contribution: Contribution) -> bool:
         """Resolve one contribution; False when partial mode dropped it.
 
-        A failed request is first rerouted to the endpoint's registered
-        standby replica (same query text); only an unrecovered failure
-        degrades the subquery.  Outside partial mode this raises exactly
-        like ``result()``.  Only full answers are cached — under the
-        answering endpoint's *cache scope*, so a future query routed to
-        the other copy of a replicated fragment still hits — and failed
-        or degraded settles never are, so degradation cannot poison the
-        cache.
+        A failed request is first resent to the endpoint's fragment
+        siblings (:func:`~repro.federation.routing.fail_over`, same
+        query text); only an unrecovered failure degrades the subquery.
+        Outside partial mode this raises exactly like ``result()``.  Only
+        full answers are cached — under the answering endpoint's *cache
+        scope*, so a future query routed to the other copy of a
+        replicated fragment still hits — and failed or degraded settles
+        never are, so degradation cannot poison the cache.
         """
         future = contribution.future
         if future is None:
@@ -264,18 +265,12 @@ class SubqueryDispatcher:
         subquery, endpoint_id = contribution.subquery, contribution.endpoint_id
         response, error = self.handler.settle(future)
         if error is not None:
-            replica_id = self.handler.federation.replica_of(endpoint_id)
-            if replica_id is not None:
-                request = future.request
-                future = self.handler.submit(
-                    Request(replica_id, request.query_text, request.kind)
-                )
-                response, error = self.handler.settle(future)
-            if error is not None:
+            future = fail_over(self.handler, future.request, subquery.patterns)
+            if future is None:
                 self.mark_degraded(subquery.label, endpoint_id)
                 return False
-            self.context.completeness.note_reroute(endpoint_id, replica_id)
-            contribution.endpoint_id = endpoint_id = replica_id
+            response = future.result()
+            contribution.endpoint_id = endpoint_id = future.request.endpoint_id
             contribution.future = future
         contribution.value = value = response.value
         if self.result_cache is not None and isinstance(value, ResultSet):

@@ -28,12 +28,11 @@ class CompletenessReport:
     that degradation *honest*: which endpoints failed, which subqueries
     lost contributions, where traffic was rerouted to replicas, and the
     per-failure-kind counts.  ``complete`` is True only when no subquery
-    lost any contribution (reroutes that fully recovered still count as
+    lost any contribution and every failed request was answered by a
+    fragment sibling (reroutes that fully recovered still count as
     complete — the answers are all there).
     """
 
-    #: endpoint ids that failed past the retry budget at least once
-    endpoints_failed: List[str] = field(default_factory=list)
     #: subquery labels that lost at least one endpoint's contribution
     subqueries_degraded: List[str] = field(default_factory=list)
     #: failed endpoint id -> replica id that answered in its place
@@ -41,25 +40,35 @@ class CompletenessReport:
     #: failure kind (``unavailable`` / ``breaker_open`` / ``rate_limited``)
     #: -> count of failed requests
     status_counts: Dict[str, int] = field(default_factory=dict)
+    #: endpoint id -> its failed requests that no sibling answered, for
+    #: every endpoint that failed past the retry budget at least once; a
+    #: reroute settles one request, not every failure of the endpoint
+    unrecovered: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def endpoints_failed(self) -> List[str]:
+        """Endpoint ids that failed at least once, in order of failure."""
+        return list(self.unrecovered)
 
     @property
     def complete(self) -> bool:
         """True unless an endpoint's contribution may be missing.
 
         A subquery that dropped an endpoint's rows is obviously
-        incomplete; so is any run where an endpoint failed *during
-        source selection* without a replica answering in its place —
-        the selection then silently never targeted it, and whatever it
-        would have contributed is gone.
+        incomplete; so is any run where a request failed *during source
+        selection* without a sibling answering in its place — the
+        selection then silently never targeted that endpoint for the
+        pattern, and whatever it would have contributed is gone.  The
+        count is per request: an endpoint rerouted for one pattern and
+        dropped for another is still missing rows.
         """
         if self.subqueries_degraded:
             return False
-        return all(eid in self.rerouted for eid in self.endpoints_failed)
+        return not any(self.unrecovered.values())
 
     def note_failure(self, endpoint_id: str, kind: str) -> None:
-        if endpoint_id not in self.endpoints_failed:
-            self.endpoints_failed.append(endpoint_id)
         self.status_counts[kind] = self.status_counts.get(kind, 0) + 1
+        self.unrecovered[endpoint_id] = self.unrecovered.get(endpoint_id, 0) + 1
 
     def note_degraded(self, label: str) -> None:
         if label not in self.subqueries_degraded:
@@ -67,11 +76,12 @@ class CompletenessReport:
 
     def note_reroute(self, endpoint_id: str, replica_id: str) -> None:
         self.rerouted[endpoint_id] = replica_id
+        self.unrecovered[endpoint_id] -= 1
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "complete": self.complete,
-            "endpoints_failed": list(self.endpoints_failed),
+            "endpoints_failed": self.endpoints_failed,
             "subqueries_degraded": list(self.subqueries_degraded),
             "rerouted": dict(self.rerouted),
             "status_counts": dict(self.status_counts),

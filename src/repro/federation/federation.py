@@ -20,7 +20,6 @@ class Federation:
         endpoints: Sequence[LocalEndpoint],
         network: NetworkModel = LOCAL_CLUSTER,
         client_region: Region = DEFAULT_CLIENT_REGION,
-        replicas: Optional[Dict[str, str]] = None,
     ):
         if not endpoints:
             raise ValueError("a federation needs at least one endpoint")
@@ -31,16 +30,9 @@ class Federation:
             self._endpoints[endpoint.endpoint_id] = endpoint
         self.network = network
         self.client_region = client_region
-        #: primary endpoint id -> standby replica id (fault tolerance:
-        #: requests reroute here when the primary stays down)
-        self._replicas: Dict[str, str] = {}
-        #: replica ids excluded from normal source selection
-        self._standby: set = set()
-        #: declared replicated fragments (routing-mode replication):
-        #: fragment name -> descriptor, insertion-ordered
+        #: declared replicated fragments: name -> descriptor,
+        #: insertion-ordered
         self._fragments: Dict[str, FragmentDescriptor] = {}
-        for primary, replica in (replicas or {}).items():
-            self.register_replica(primary, replica)
 
     # -- registry --------------------------------------------------------
 
@@ -52,15 +44,16 @@ class Federation:
 
     @property
     def endpoint_ids(self) -> List[str]:
-        """Active endpoint ids (standby replicas excluded)."""
-        return [
-            eid for eid in self._endpoints if eid not in self._standby
-        ]
-
-    @property
-    def all_endpoint_ids(self) -> List[str]:
-        """Every registered endpoint id, standby replicas included."""
-        return list(self._endpoints)
+        """Active endpoint ids: all but the standbys — the later members
+        of a full-replica failover fragment, which serve only when the
+        member before them fails."""
+        standby = {
+            eid
+            for fragment in self._fragments.values()
+            if fragment.policy == "failover" and fragment.predicates is None
+            for eid in fragment.endpoints[1:]
+        }
+        return [eid for eid in self._endpoints if eid not in standby]
 
     def endpoints(self) -> Iterable[LocalEndpoint]:
         return self._endpoints.values()
@@ -81,8 +74,8 @@ class Federation:
         """``(scope, version token)`` for result-cache keying.
 
         Endpoints declared byte-identical — members of a *full-replica*
-        fragment (``predicates=None``) or a primary/standby replica pair
-        — share one cache scope: the replica router may legitimately
+        fragment (``predicates=None``), whatever its policy — share one
+        cache scope: the replica router or a failover may legitimately
         send the same subquery to a different copy on the next pass, and
         keying by the answering endpoint's id would then silently miss
         the warm entry (and make ``cache_warm`` cost modeling lie).  The
@@ -97,60 +90,7 @@ class Federation:
                     f"fragment:{fragment.name}",
                     tuple(self.endpoint_version(e) for e in fragment.endpoints),
                 )
-        for primary, replica in self._replicas.items():
-            if endpoint_id in (primary, replica):
-                return (
-                    f"replica-pair:{primary}",
-                    (
-                        self.endpoint_version(primary),
-                        self.endpoint_version(replica),
-                    ),
-                )
         return endpoint_id, self.endpoint_version(endpoint_id)
-
-    # -- replicas ----------------------------------------------------------
-
-    def _require_endpoint(self, endpoint_id: str, role: str) -> None:
-        if endpoint_id not in self._endpoints:
-            known = ", ".join(sorted(self._endpoints))
-            raise KeyError(
-                f"unknown {role} endpoint {endpoint_id!r}: "
-                f"registered endpoints are {known}"
-            )
-
-    def register_replica(
-        self, primary_id: str, replica_id: str, standby: bool = True
-    ) -> None:
-        """Declare ``replica_id`` a full replica of ``primary_id``.
-
-        With ``standby=True`` (the default, the PR-3 behavior) the
-        replica is excluded from normal source selection; it only
-        receives traffic when the primary fails past its retry budget
-        and the engine is running in partial-results mode (the rerouting
-        of Montoya et al.'s replicated-fragment federations).
-
-        With ``standby=False`` both copies stay active and the pair is
-        declared as a full-replica fragment: source selection queries
-        exactly one copy per query, chosen by the engine's
-        :class:`~repro.federation.routing.ReplicaRouter` load/latency
-        score — replication as *routing*, not just failover.  The
-        replica link is still recorded, so failure rerouting keeps
-        working.
-        """
-        self._require_endpoint(primary_id, "primary")
-        self._require_endpoint(replica_id, "replica")
-        if primary_id == replica_id:
-            raise ValueError("an endpoint cannot be its own replica")
-        self._replicas[primary_id] = replica_id
-        if standby:
-            self._standby.add(replica_id)
-        else:
-            self.declare_fragment(
-                f"replica:{primary_id}", (primary_id, replica_id)
-            )
-
-    def replica_of(self, endpoint_id: str) -> Optional[str]:
-        return self._replicas.get(endpoint_id)
 
     # -- replicated fragments ----------------------------------------------
 
@@ -159,11 +99,16 @@ class Federation:
         name: str,
         endpoint_ids: Sequence[str],
         predicates: Optional[Iterable] = None,
+        policy: str = "balanced",
     ) -> FragmentDescriptor:
         """Declare that ``endpoint_ids`` hold identical copies of a
         fragment: the whole dataset (``predicates=None``) or the triples
         whose predicate is in ``predicates``.  The source selector then
-        sends each covered pattern to exactly one member per query.
+        sends each covered pattern to exactly one member per query — the
+        least-loaded one (``policy="balanced"``) or the first one
+        (``policy="failover"``; the later members are standbys).  Under
+        ``partial_results``, a member that fails past its retry budget is
+        replaced by the next member that answers, in declared order.
         """
         ids = tuple(endpoint_ids)
         if len(ids) < 2:
@@ -173,13 +118,23 @@ class Federation:
         if len(set(ids)) != len(ids):
             raise ValueError(f"fragment {name!r} lists a duplicate endpoint")
         for endpoint_id in ids:
-            self._require_endpoint(endpoint_id, "fragment")
+            if endpoint_id not in self._endpoints:
+                known = ", ".join(sorted(self._endpoints))
+                raise KeyError(
+                    f"unknown fragment endpoint {endpoint_id!r}: "
+                    f"registered endpoints are {known}"
+                )
         if name in self._fragments:
             raise ValueError(f"fragment {name!r} is already declared")
+        if policy not in ("balanced", "failover"):
+            raise ValueError(
+                f"fragment {name!r}: policy must be 'balanced' or 'failover'"
+            )
         fragment = FragmentDescriptor(
             name=name,
             endpoints=ids,
             predicates=None if predicates is None else frozenset(predicates),
+            policy=policy,
         )
         self._fragments[name] = fragment
         return fragment

@@ -36,8 +36,8 @@ agree bit for bit:
   (clamped between :data:`TIMEOUT_FLOOR_SECONDS` and the configured
   default, which also serves until the endpoint's latency history
   warms up); blowing the cap raises :class:`RequestTimeoutError`, a
-  failure the caller may reroute to the endpoint's standby replica,
-  and feeds the breaker;
+  failure the caller may resend to the endpoint's fragment siblings
+  (:func:`~repro.federation.routing.fail_over`), and feeds the breaker;
 - **deadline clamps** — whatever remains of the query budget at a
   request's *lane start* bounds its charge, so the virtual completion
   time provably never exceeds ``deadline + one request timeout``;

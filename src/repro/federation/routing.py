@@ -1,21 +1,26 @@
-"""Replica-aware, load-balanced routing over declared fragments.
+"""Declared replicated fragments: load routing and failover.
 
 Montoya et al. (*Replicated Fragments*) observed that a federation
 aware of which endpoints replicate the same data fragment can prune all
-but one copy from source selection — a *routing* decision, not just the
-failover `register_replica` provides.  A :class:`FragmentDescriptor`
-declares the replication unit: either a full dataset replica
-(``predicates=None``) or a predicate-set fragment.  The
-:class:`ReplicaRouter` then picks which copy serves each query by a
-load/latency score:
+but one copy from source selection.  A :class:`FragmentDescriptor` is
+that one declaration: either a full dataset replica
+(``predicates=None``) or a predicate-set fragment, with a *policy* that
+says which member serves a covered pattern:
 
-``score(ep) = lane backlog(ep) + tracked p50 latency(ep)``
+- ``"balanced"`` — the :class:`ReplicaRouter` picks the copy by a
+  load/latency score, ``score(ep) = lane backlog(ep) + tracked p50
+  latency(ep)``, from the request handler's virtual per-endpoint lane
+  occupancy and the engine's
+  :class:`~repro.federation.deadline.LatencyTracker`.  Ties — the
+  common cold-start case — rotate round-robin per fragment, so a
+  repeated read workload splits across the replicas;
+- ``"failover"`` — the first member serves; the others are standbys.
+  The later members of a full-replica failover fragment are not even
+  active endpoints (:attr:`Federation.endpoint_ids` leaves them out).
 
-using the request handler's virtual per-endpoint lane occupancy and the
-engine's :class:`~repro.federation.deadline.LatencyTracker` (PR 5).
-Ties — the common cold-start case — rotate round-robin per fragment, so
-a repeated read workload splits across the replicas instead of pinning
-one copy while the other idles.
+Either way, a member that fails past its retry budget is replaced by
+its siblings through :func:`fail_over`, the one failover site of both
+source selection and subquery dispatch.
 
 The router lives on the engine (one per engine, like the latency
 tracker) so its rotation state persists across queries; within a single
@@ -27,7 +32,7 @@ the LADE decomposition itself untouched.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..rdf.term import Variable
@@ -40,12 +45,14 @@ class FragmentDescriptor:
 
     ``predicates=None`` declares a full replica (every triple pattern is
     covered); a predicate set restricts coverage to patterns whose
-    predicate is ground and in the set.
+    predicate is ground and in the set.  ``policy`` is ``"balanced"``
+    (the router picks a member) or ``"failover"`` (the first one serves).
     """
 
     name: str
     endpoints: Tuple[str, ...]
     predicates: Optional[FrozenSet] = None
+    policy: str = "balanced"
 
     def covers(self, pattern: TriplePattern) -> bool:
         if self.predicates is None:
@@ -89,6 +96,8 @@ class ReplicaRouter:
         """Pick one of ``candidates`` (all replicas of ``fragment``)."""
         if len(candidates) == 1:
             chosen = candidates[0]
+        elif fragment.policy == "failover":
+            chosen = next(e for e in fragment.endpoints if e in candidates)
         else:
             scores = {eid: self.score(eid, handler) for eid in candidates}
             best = min(scores.values())
@@ -100,3 +109,35 @@ class ReplicaRouter:
         with self._lock:
             self.routed[chosen] = self.routed.get(chosen, 0) + 1
         return chosen
+
+
+def fail_over(handler, request, patterns: Sequence[TriplePattern]):
+    """Resend a request whose endpoint failed past its retry budget.
+
+    The same text goes to the failed member's siblings — the other
+    members of every fragment that holds it and covers all of
+    ``patterns`` — in declared order, starting after the failed member
+    and wrapping around.  The first sibling that answers is noted as the
+    reroute of the failed member and of every sibling that failed before
+    it; its settled future is returned (None when none did).
+    """
+    failed = request.endpoint_id
+    tried = {failed}
+    lost = [failed]
+    for fragment in handler.federation.fragments:
+        if failed not in fragment.endpoints or not all(
+            fragment.covers(pattern) for pattern in patterns
+        ):
+            continue
+        at = fragment.endpoints.index(failed)
+        for sibling in fragment.endpoints[at + 1:] + fragment.endpoints[:at]:
+            if sibling in tried:
+                continue
+            tried.add(sibling)
+            future = handler.submit(replace(request, endpoint_id=sibling))
+            if handler.settle(future)[1] is None:
+                for endpoint_id in lost:
+                    handler.context.completeness.note_reroute(endpoint_id, sibling)
+                return future
+            lost.append(sibling)
+    return None

@@ -15,6 +15,7 @@ from ..sparql.ast import GroupPattern, Query
 from ..sparql.serializer import serialize_query
 from .cache import ProbeCache, canonical_pattern_key
 from .request_handler import ElasticRequestHandler, Request
+from .routing import fail_over
 
 
 def ask_query_text(pattern: TriplePattern) -> str:
@@ -28,9 +29,9 @@ class SourceSelector:
 
     With a ``router``, declared replicated fragments collapse to one
     copy before any ASK goes out: for every fragment covering the
-    pattern, the router picks the least-loaded member and the others are
-    skipped entirely — neither asked nor eligible for downstream checks,
-    probes, or SELECTs.  The choice is memoized per selector (i.e. per
+    pattern, the router picks one member (by the fragment's policy) and
+    the others are skipped entirely — neither asked nor eligible for
+    downstream checks, probes, or SELECTs.  The choice is memoized per selector (i.e. per
     analyzed group), so every pattern of one query routes to the same
     copy and per-pattern source lists stay equal — the LADE
     decomposition is unaffected by which replica happened to win.
@@ -54,15 +55,12 @@ class SourceSelector:
     def _route_fragments(self, pattern: TriplePattern) -> List[str]:
         """Active endpoints with replica groups collapsed to one copy."""
         federation = self.handler.federation
-        endpoint_ids = list(federation.endpoint_ids)
+        endpoint_ids = federation.endpoint_ids
         if self.router is None:
-            return endpoint_ids
-        fragments = federation.fragments
-        if not fragments:
             return endpoint_ids
         metrics = self.handler.context.metrics
         claimed: set = set()
-        for fragment in fragments:
+        for fragment in federation.fragments:
             if not fragment.covers(pattern):
                 continue
             members = [
@@ -114,18 +112,20 @@ class SourceSelector:
                 endpoint_id = future.request.endpoint_id
                 response, error = self.handler.settle(future)
                 if error is not None:
-                    # Partial mode: a dead endpoint simply drops out of
-                    # selection (downstream requests never target it) —
-                    # unless a standby replica answers in its place.
-                    # The failure is never cached: the endpoint may be
-                    # back for the next query.
+                    # Partial mode: a dead endpoint drops out of
+                    # selection (downstream requests never target it),
+                    # unless a fragment sibling answers in its place —
+                    # recorded under the sibling's own id, so every
+                    # downstream request targets the sibling.  The
+                    # failure is never cached: the endpoint may be back
+                    # for the next query.
                     answers[endpoint_id] = False
-                    replica = self._ask_replica(endpoint_id, text, key)
-                    if replica is not None:
-                        replica_id, replica_answer = replica
-                        answers[replica_id] = replica_answer
-                        rerouted.append(replica_id)
-                    continue
+                    future = fail_over(self.handler, future.request, (pattern,))
+                    if future is None:
+                        continue
+                    endpoint_id = future.request.endpoint_id
+                    response = future.result()
+                    rerouted.append(endpoint_id)
                 answer = bool(response.value)
                 answers[endpoint_id] = answer
                 if self.cache is not None:
@@ -133,33 +133,10 @@ class SourceSelector:
                         endpoint_id, key, answer, self._version(endpoint_id)
                     )
         relevant = [eid for eid in endpoint_ids if answers.get(eid)]
-        relevant.extend(eid for eid in rerouted if answers.get(eid))
+        relevant.extend(
+            eid for eid in rerouted if answers.get(eid) and eid not in relevant
+        )
         return tuple(relevant)
-
-    def _ask_replica(
-        self, endpoint_id: str, text: str, key: str
-    ) -> Optional[Tuple[str, bool]]:
-        """Re-ask a failed primary's standby replica, if one exists.
-
-        The replica's answer is recorded under *its own* id, so every
-        downstream request (checks, probes, SELECTs) naturally targets
-        the replica instead of the dead primary.  Returns
-        ``(replica_id, answer)`` when the replica answered, else None.
-        """
-        replica_id = self.handler.federation.replica_of(endpoint_id)
-        if replica_id is None:
-            return None
-        future = self.handler.submit(Request(replica_id, text, kind="ASK"))
-        response, error = self.handler.settle(future)
-        if error is not None:
-            return None
-        answer = bool(response.value)
-        if self.cache is not None:
-            self.cache.put(
-                replica_id, key, answer, self._version(replica_id)
-            )
-        self.handler.context.completeness.note_reroute(endpoint_id, replica_id)
-        return replica_id, answer
 
     def select_all(
         self, patterns: Sequence[TriplePattern]

@@ -45,7 +45,9 @@ def build_faulted_federation(
         ))
     federation = Federation(endpoints)
     if with_replica:
-        federation.register_replica(DOWN_ENDPOINT, REPLICA_ENDPOINT)
+        federation.declare_fragment(
+            DOWN_ENDPOINT, (DOWN_ENDPOINT, REPLICA_ENDPOINT), policy="failover"
+        )
     return federation
 
 

@@ -288,7 +288,7 @@ class TestReplicaAwareCacheIdentity:
             LocalEndpoint.from_triples("ep1", triples),
             LocalEndpoint.from_triples("ep1b", triples),
         ])
-        federation.register_replica("ep1", "ep1b", standby=False)
+        federation.declare_fragment("ep1", ("ep1", "ep1b"))
         scope_a, version_a = federation.cache_identity("ep1")
         scope_b, version_b = federation.cache_identity("ep1b")
         assert scope_a == scope_b
@@ -300,7 +300,7 @@ class TestReplicaAwareCacheIdentity:
             LocalEndpoint.from_triples("ep1", triples),
             LocalEndpoint.from_triples("ep1b", triples),
         ])
-        federation.register_replica("ep1", "ep1b", standby=True)
+        federation.declare_fragment("ep1", ("ep1", "ep1b"), policy="failover")
         scope_a, version_before = federation.cache_identity("ep1")
         scope_b, _ = federation.cache_identity("ep1b")
         assert scope_a == scope_b
@@ -331,8 +331,8 @@ class TestReplicaAwareCacheIdentity:
             LocalEndpoint.from_triples("ep2", ep2),
             LocalEndpoint.from_triples("ep2b", ep2),
         ])
-        federation.register_replica("ep1", "ep1b", standby=False)
-        federation.register_replica("ep2", "ep2b", standby=False)
+        federation.declare_fragment("ep1", ("ep1", "ep1b"))
+        federation.declare_fragment("ep2", ("ep2", "ep2b"))
         engine = LusailEngine(federation)
 
         first = engine.execute(QUERY_QA)

@@ -83,7 +83,9 @@ def _federation(ep1_profile=None, ep2_profile=None, replicate_ep2=False):
         )
     federation = Federation(endpoints, network=LOCAL_CLUSTER)
     if replicate_ep2:
-        federation.register_replica("ep2", "ep2-replica")
+        federation.declare_fragment(
+            "ep2", ("ep2", "ep2-replica"), policy="failover"
+        )
     return federation
 
 
@@ -497,7 +499,7 @@ def _chain_query(predicates) -> str:
 
 def _build(endpoint_data, slow_index, spike, replica):
     """The federation, ``ep{slow_index}`` carrying the spike; with
-    ``replica``, a fault-free copy of it registered as its standby."""
+    ``replica``, a fault-free copy of it declared its failover standby."""
     endpoints = []
     for i, triples in enumerate(endpoint_data):
         profile = None
@@ -514,7 +516,9 @@ def _build(endpoint_data, slow_index, spike, replica):
         ))
     federation = Federation(endpoints, network=LOCAL_CLUSTER)
     if replica:
-        federation.register_replica(f"ep{slow_index}", "standby")
+        federation.declare_fragment(
+            "slow", (f"ep{slow_index}", "standby"), policy="failover"
+        )
     return federation
 
 

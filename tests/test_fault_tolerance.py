@@ -17,7 +17,7 @@ The invariants under test:
   completeness report names what was lost;
 - the breaker turns a dead endpoint's retry storms into fast fails
   without changing the partial answer or slowing the run;
-- a registered standby replica recovers the full answer;
+- a declared failover standby recovers the full answer;
 - threaded execution stays bit-identical to the simulator under
   injected transient faults.
 """
@@ -451,10 +451,10 @@ class TestPartialResults:
         federation = _faulty_paper_federation(
             ep2_profile=FaultProfile.always_down(), extra=[replica]
         )
-        federation.register_replica("ep2", "ep2b")
+        federation.declare_fragment("ep2", ("ep2", "ep2b"), policy="failover")
         # Standby replicas are excluded from normal selection.
         assert "ep2b" not in federation.endpoint_ids
-        assert "ep2b" in federation.all_endpoint_ids
+        assert "ep2b" in federation
         outcome = LusailEngine(
             federation, partial_results=True
         ).execute(QUERY_QA)

@@ -14,7 +14,10 @@ replica race (``hedge_threshold_seconds``, on the engine and the
 handler) and four handler settings only tests ever set
 (``breaker_cooldown_seconds``, ``adaptive_timeout_multiplier``,
 ``timeout_floor_seconds``, ``timeout_warmup`` — now module constants
-in ``federation/request_handler.py``) went the same way.  They are
+in ``federation/request_handler.py``) went the same way, and so did
+the second replica model (``register_replica(standby=)``,
+``replica_of``, ``Federation(replicas=)``): every copy is a declared
+fragment with a ``policy``.  They are
 gone; the signatures below are pinned so one cannot come back without
 a diff to this file, and so are the fixed ``Metrics.snapshot()`` keys,
 so a deleted ``/stats`` counter is a diff here too.
@@ -49,7 +52,7 @@ from repro.datasets.directory import (
 )
 from repro.datasets.lubm import LUBM_QUERIES, LubmGenerator
 from repro.endpoint import FaultProfile, LocalEndpoint
-from repro.federation import ElasticRequestHandler, Federation
+from repro.federation import ElasticRequestHandler, Federation, SourceSelector
 from repro.sparql import Evaluator, parse_query
 from repro.store import TripleStore
 
@@ -94,9 +97,23 @@ def _parameters(function):
         "retry_backoff_seconds", "breaker_threshold", "latency_tracker",
         "request_timeout_seconds",
     ]),
+    # one replica model: every copy is a declared fragment
+    (Federation.__init__, ["endpoints", "network", "client_region"]),
+    (Federation.declare_fragment, [
+        "name", "endpoint_ids", "predicates", "policy",
+    ]),
 ])
 def test_exact_parameter_names(function, expected):
     assert _parameters(function) == expected
+
+
+def test_one_replica_declaration():
+    """``register_replica`` / ``replica_of`` (a second, standby-only
+    replica model) are gone; ``SourceSelector.select_all`` stays, as
+    ``ledger/trace.py`` wraps it."""
+    for name in ("register_replica", "replica_of", "all_endpoint_ids"):
+        assert not hasattr(Federation, name), name
+    assert callable(SourceSelector.select_all)
 
 
 #: ``Metrics.snapshot()``'s fixed keys, in order — what ``/stats``

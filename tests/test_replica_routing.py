@@ -4,11 +4,15 @@ The acceptance scenario: a federation where two endpoints replicate the
 same fragment serves a read workload with every fragment queried exactly
 once per query (no duplicate ASK/SELECT traffic to both copies), while
 the stream of queries is balanced across both replicas by the
-load/latency score — both lanes end up utilized.
+load/latency score — both lanes end up utilized.  When the copy a query
+was routed to is down, its sibling answers instead and the answer stays
+complete.
 """
 
+import pytest
+
 from repro.core import LusailEngine
-from repro.endpoint import LOCAL_CLUSTER, LocalEndpoint
+from repro.endpoint import LOCAL_CLUSTER, FaultProfile, LocalEndpoint, OutageWindow
 from repro.federation import Federation, FragmentDescriptor, ReplicaRouter
 from repro.rdf import IRI, TriplePattern, Variable
 from repro.rdf import parse as nt_parse
@@ -16,17 +20,25 @@ from repro.rdf import parse as nt_parse
 from .conftest import EP1_TRIPLES, EP2_TRIPLES, QA_EXPECTED, QUERY_QA, result_values
 
 
-def build_replicated_federation() -> Federation:
-    """ep1 plus two byte-identical replicas of the paper's ep2."""
+def build_replicated_federation(
+    faults=None, copies=("ep2a", "ep2b"), **fragment
+) -> Federation:
+    """ep1 plus byte-identical ``copies`` of the paper's ep2, declared
+    one fragment (by default a load-balanced one) with ``fragment``'s
+    keywords; ``faults`` maps a copy to its :class:`FaultProfile`."""
     federation = Federation(
         [
             LocalEndpoint.from_triples("ep1", nt_parse(EP1_TRIPLES)),
-            LocalEndpoint.from_triples("ep2a", nt_parse(EP2_TRIPLES)),
-            LocalEndpoint.from_triples("ep2b", nt_parse(EP2_TRIPLES)),
+        ] + [
+            LocalEndpoint.from_triples(
+                eid, nt_parse(EP2_TRIPLES),
+                faults=(faults or {}).get(eid),
+            )
+            for eid in copies
         ],
         network=LOCAL_CLUSTER,
     )
-    federation.register_replica("ep2a", "ep2b", standby=False)
+    federation.declare_fragment("ep2", copies, **fragment)
     return federation
 
 
@@ -52,24 +64,23 @@ class TestFragmentDescriptor:
         )
 
 
-class TestReplicaRegistration:
-    def test_standby_false_declares_a_routing_fragment(self):
+class TestFragmentDeclaration:
+    def test_balanced_policy_declares_a_routing_fragment(self):
         federation = build_replicated_federation()
         names = [fragment.name for fragment in federation.fragments]
-        assert names == ["replica:ep2a"]
+        assert names == ["ep2"]
         assert set(federation.fragments[0].endpoints) == {"ep2a", "ep2b"}
+        assert federation.fragments[0].policy == "balanced"
+        # both copies stay routing targets
+        assert federation.endpoint_ids == ["ep1", "ep2a", "ep2b"]
 
-    def test_standby_true_keeps_failover_only_semantics(self):
-        federation = Federation(
-            [
-                LocalEndpoint.from_triples("ep1", nt_parse(EP1_TRIPLES)),
-                LocalEndpoint.from_triples("ep2a", nt_parse(EP2_TRIPLES)),
-                LocalEndpoint.from_triples("ep2b", nt_parse(EP2_TRIPLES)),
-            ],
-            network=LOCAL_CLUSTER,
-        )
-        federation.register_replica("ep2a", "ep2b")
-        assert federation.fragments == []
+    def test_failover_policy_keeps_the_standby_out_of_selection(self):
+        federation = build_replicated_federation(policy="failover")
+        assert federation.endpoint_ids == ["ep1", "ep2a"]
+        assert "ep2b" in federation
+        outcome = LusailEngine(federation).execute(QUERY_QA)
+        assert result_values(outcome.result) == QA_EXPECTED
+        assert "ep2b" not in outcome.metrics.lane_busy_seconds
 
 
 class TestRoutedExecution:
@@ -127,6 +138,12 @@ class TestRouterScoring:
         second = router.choose(self.FRAGMENT, ["a", "b"], handler)
         assert {first, second} == {"a", "b"}
 
+    def test_failover_policy_picks_the_first_declared_member(self):
+        fragment = FragmentDescriptor("f", ("b", "a"), policy="failover")
+        router = ReplicaRouter()
+        for _ in range(2):
+            assert router.choose(fragment, ["a", "b"], handler=None) == "b"
+
     def test_backlog_steers_away_from_busy_lane(self):
         class _SkewedHandler:
             def lane_backlog(self, endpoint_id):
@@ -137,3 +154,102 @@ class TestRouterScoring:
             assert router.choose(
                 self.FRAGMENT, ["a", "b"], _SkewedHandler()
             ) == "b"
+
+
+class TestFailover:
+    """A fragment member that fails past its retries is replaced by its
+    sibling, whichever member the router picked — the second copy of a
+    balanced pair included."""
+
+    @pytest.mark.parametrize("down", ["ep2a", "ep2b"])
+    @pytest.mark.parametrize("predicates", [False, True])
+    def test_declared_fragment_fails_over(self, down, predicates):
+        """Two runs with ``down`` failing every request: each is OK with
+        the full answer, and a run the router sent to ``down`` reroutes
+        to its sibling (the others reroute nothing)."""
+        covered = None
+        if predicates:
+            covered = {triple.predicate for triple in nt_parse(EP2_TRIPLES)}
+        (sibling,) = {"ep2a", "ep2b"} - {down}
+        engine = LusailEngine(
+            build_replicated_federation(
+                {down: FaultProfile(failure_rate=1.0)}, predicates=covered
+            ),
+            partial_results=True,
+        )
+        routed_to_down = []
+        for _ in range(2):
+            engine.result_cache.clear()
+            before = engine.replica_router.routed.get(down, 0)
+            outcome = engine.execute(QUERY_QA)
+            assert outcome.status == "OK", outcome.error
+            assert result_values(outcome.result) == QA_EXPECTED
+            hit_down = engine.replica_router.routed.get(down, 0) > before
+            expected = {down: sibling} if hit_down else {}
+            assert outcome.completeness.rerouted == expected
+            routed_to_down.append(hit_down)
+        # the down copy was picked at least once, so a failover ran
+        assert any(routed_to_down)
+
+    def test_a_failed_subquery_fails_over_to_the_sibling(self):
+        """Source selection succeeds at the routed copy, then its last
+        request (a subquery) fails: dispatch resends it to the sibling."""
+        calls = []
+        federation = build_replicated_federation()
+        ep2a = federation.endpoint("ep2a")
+        original = ep2a.execute
+        ep2a.execute = lambda text, **_: (calls.append(text), original(text))[1]
+        baseline = LusailEngine(federation).execute(QUERY_QA)
+        assert baseline.status == "OK"
+        assert calls[-1].lstrip().startswith("SELECT")
+        tail = FaultProfile(outage_windows=(OutageWindow(start=len(calls) - 1),))
+        outcome = LusailEngine(
+            build_replicated_federation({"ep2a": tail}), partial_results=True
+        ).execute(QUERY_QA)
+        assert outcome.status == "OK", outcome.error
+        assert result_values(outcome.result) == QA_EXPECTED
+        assert outcome.completeness.rerouted == {"ep2a": "ep2b"}
+        # both copies served this one query: ep2a its probes, ep2b the
+        # subquery ep2a failed
+        assert {"ep2a", "ep2b"} <= set(outcome.metrics.lane_busy_seconds)
+
+    def test_a_fragment_reroute_does_not_hide_an_uncovered_loss(self):
+        """ep2a also holds ``ub:address``, which the fragment leaves out.
+        With ep2a down its covered patterns fail over to ep2b, but its
+        ``address`` ASK has no sibling to go to: that request is lost,
+        so the run is PARTIAL although ep2a was rerouted too."""
+        address = IRI("http://swat.cse.lehigh.edu/onto/univ-bench.owl#address")
+        covered = {triple.predicate for triple in nt_parse(EP2_TRIPLES)}
+        assert address in covered
+        outcome = LusailEngine(
+            build_replicated_federation(
+                {"ep2a": FaultProfile(failure_rate=1.0)},
+                predicates=covered - {address},
+                policy="failover",
+            ),
+            partial_results=True,
+        ).execute(QUERY_QA)
+        assert outcome.completeness.rerouted == {"ep2a": "ep2b"}
+        assert outcome.status == "PARTIAL"
+        assert not outcome.completeness.complete
+
+    def test_siblings_that_fail_during_failover_are_recovered_too(self):
+        """Three copies, two down.  Whichever down copy the router picks,
+        the request wraps around the fragment past the other down copy
+        to ep2b; both failures are answered there, so every run is OK."""
+        down = FaultProfile(failure_rate=1.0)
+        engine = LusailEngine(
+            build_replicated_federation(
+                {"ep2a": down, "ep2c": down}, copies=("ep2a", "ep2b", "ep2c")
+            ),
+            partial_results=True,
+        )
+        reroutes = {}
+        for _ in range(3):
+            engine.result_cache.clear()
+            outcome = engine.execute(QUERY_QA)
+            assert outcome.status == "OK", outcome.error
+            assert result_values(outcome.result) == QA_EXPECTED
+            reroutes.update(outcome.completeness.rerouted)
+        # ep2c's request wrapped around to ep2a (down) before ep2b answered
+        assert reroutes == {"ep2a": "ep2b", "ep2c": "ep2b"}

@@ -356,15 +356,15 @@ class TestWarmSecondPass:
 class TestReplicaValidation:
     def test_unknown_primary_raises_helpful_keyerror(self):
         federation = build_paper_federation()
-        with pytest.raises(KeyError, match="unknown primary endpoint 'nope'"):
-            federation.register_replica("nope", "ep2")
+        with pytest.raises(KeyError, match="unknown fragment endpoint 'nope'"):
+            federation.declare_fragment("f", ("nope", "ep2"), policy="failover")
 
     def test_unknown_replica_raises_helpful_keyerror(self):
         federation = build_paper_federation()
         with pytest.raises(KeyError) as err:
-            federation.register_replica("ep1", "ghost")
+            federation.declare_fragment("f", ("ep1", "ghost"), policy="failover")
         message = str(err.value)
-        assert "unknown replica endpoint 'ghost'" in message
+        assert "unknown fragment endpoint 'ghost'" in message
         assert "ep1" in message and "ep2" in message  # lists known ids
 
     def test_declare_fragment_validation(self):
@@ -375,6 +375,8 @@ class TestReplicaValidation:
             federation.declare_fragment("f", ("ep1", "ep1"))
         with pytest.raises(KeyError):
             federation.declare_fragment("f", ("ep1", "ghost"))
+        with pytest.raises(ValueError, match="policy"):
+            federation.declare_fragment("f", ("ep1", "ep2"), policy="standby")
         federation.declare_fragment("f", ("ep1", "ep2"))
         with pytest.raises(ValueError):
             federation.declare_fragment("f", ("ep1", "ep2"))
