@@ -389,3 +389,157 @@ def test_dead_variables_match_both_oracles(triples, group, projected, batch_size
     assert len(first) == min(1, len(answers[0]))
     assert set(first) <= answers[0]
     assert len(store.dictionary) == size
+
+
+# ----------------------------------------------------------------------
+# The probe shapes: single-pattern COUNT(*) and ASK, existence stages
+# with one bound key, one-pattern (NOT) EXISTS bodies and partly dead
+# patterns.  Each is answerable from one index level; the answers must
+# stay the oracles' (``SeedEvaluator`` never takes the ID path, so it
+# never reaches an index-level rule).
+# ----------------------------------------------------------------------
+
+_probe_terms = st.one_of(
+    st.sampled_from(_TERMS + [_ABSENT]), st.sampled_from(_VARIABLES)
+)
+#: one pattern; three variables sampled from three names repeat often
+_probe_patterns = st.builds(TriplePattern, _probe_terms, _probe_terms, _probe_terms)
+
+_KEY, _OTHER, _DEAD_Z = Variable("a"), Variable("b"), Variable("z")
+
+
+@st.composite
+def _index_shapes(draw, key=_KEY):
+    """``?key p ?z``, ``?z p ?key``, ``?key p c`` or ``c p ?key`` with a
+    constant predicate (sometimes one the store has never seen)."""
+    predicate = draw(st.sampled_from(_TERMS + [_ABSENT]))
+    other = draw(st.sampled_from([_DEAD_Z] * 2 + _TERMS + [_ABSENT]))
+    if draw(st.booleans()):
+        return TriplePattern(key, predicate, other)
+    return TriplePattern(other, predicate, key)
+
+
+@_examples(150)
+@given(st.lists(_triples, max_size=12), _probe_patterns)
+def test_single_pattern_count_and_ask_match_the_seed(triples, pattern):
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    where = GroupPattern(elements=[pattern])
+    count = Query(
+        form="SELECT", where=where,
+        aggregates=[Aggregate("COUNT", None, Variable("n"))],
+    )
+    seed = SeedEvaluator(store)
+    assert Evaluator(store).select(count).rows == seed.select(count).rows
+    ask = Query(form="ASK", where=where)
+    assert Evaluator(store).ask(ask) == seed.ask(ask)
+    assert seed.stats.plans_built == 0
+    assert len(store.dictionary) == size
+
+
+@st.composite
+def _existence_queries(draw):
+    """An outer pattern binding ``?a`` (with ``?b`` beside it, so keys
+    repeat when ``?b`` is projected), then one index shape on ``?a``."""
+    outer = draw(st.permutations([
+        _KEY, draw(st.sampled_from([_OTHER, _KEY] + _TERMS)),
+        draw(st.sampled_from([_OTHER] + _TERMS)),
+    ]))
+    elements = [TriplePattern(*outer), draw(_index_shapes())]
+    projected = [_KEY] + ([_OTHER] if _OTHER in outer and draw(st.booleans()) else [])
+    return Query(
+        form="SELECT", where=GroupPattern(elements=draw(st.permutations(elements))),
+        select_variables=projected,
+    )
+
+
+def _assert_first_occurrences_match(store, query, batch_size):
+    """DISTINCT and ``LIMIT 1`` as sets against the seed joiner and, at
+    the default batch (every stage's input fits one chunk), row for row
+    against the row-at-a-time evaluator; ASK against both."""
+    evaluator = Evaluator(store, batch_size)
+    seed = SeedEvaluator(store)
+    distinct = replace(query, distinct=True)
+    assert rows_multiset(evaluator.select(distinct)) == rows_multiset(seed.select(distinct))
+    first = evaluator.select(replace(query, limit=1)).rows
+    assert set(first) <= {tuple(row) for row in seed.select(query).rows}
+    assert len(first) == min(1, len(seed.select(query)))
+    ask = Query(form="ASK", where=query.where)
+    assert evaluator.ask(ask) == seed.ask(ask)
+    if batch_size == 256:
+        oracle = RowAtATimeEvaluator(store, batch_size)
+        assert evaluator.select(distinct).rows == oracle.select(distinct).rows
+        assert first == oracle.select(replace(query, limit=1)).rows
+    assert seed.stats.plans_built == 0
+
+
+@_examples(200)
+@given(st.lists(_triples, max_size=12), _existence_queries(), st.sampled_from([1, 2, 256]))
+def test_existence_shapes_match_the_oracles(triples, query, batch_size):
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    _assert_first_occurrences_match(store, query, batch_size)
+    assert len(store.dictionary) == size
+
+
+@st.composite
+def _one_pattern_exists_queries(draw):
+    """1-2 outer patterns under one or two (NOT) EXISTS filters whose
+    body is one index shape correlated on one outer variable."""
+    elements = list(draw(st.lists(_patterns, min_size=1, max_size=2)))
+    outer = set().union(*[p.variables() for p in elements])
+    keys = sorted(outer, key=lambda v: v.name) or [_KEY]
+    filters = [
+        ExistsExpr(
+            group=GroupPattern(elements=[draw(_index_shapes(draw(st.sampled_from(keys))))]),
+            negated=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return Query(
+        form="SELECT",
+        where=GroupPattern(elements=elements, filters=filters),
+        limit=draw(st.one_of(st.none(), st.integers(0, 3))),
+        offset=draw(st.integers(0, 2)),
+    )
+
+
+@_examples(200)
+@given(
+    st.lists(_triples, max_size=12),
+    _one_pattern_exists_queries(),
+    st.sampled_from([1, 2, 256]),
+)
+def test_one_pattern_exists_bodies_match_row_at_a_time(triples, query, batch_size):
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    _assert_same_rows_same_order(store, query, batch_size)
+    ask = Query(form="ASK", where=query.where)
+    assert Evaluator(store, batch_size).ask(ask) == SeedEvaluator(store).ask(ask)
+    assert len(store.dictionary) == size
+
+
+@st.composite
+def _partly_dead_queries(draw):
+    """1-3 patterns, at least one binding a projected variable beside a
+    dead one (``?a p ?z``, ``?z ?b ?a``, ...), projecting 1-2 variables."""
+    partly = TriplePattern(*draw(st.permutations([
+        draw(st.sampled_from(_VARIABLES)),
+        draw(st.sampled_from(_DEAD)),
+        draw(_dead_terms),
+    ])))
+    elements = list(draw(st.lists(_dead_patterns, max_size=2)))
+    elements.insert(draw(st.integers(0, len(elements))), partly)
+    projected = draw(st.lists(st.sampled_from(_VARIABLES), min_size=1, max_size=2, unique=True))
+    return Query(
+        form="SELECT", where=GroupPattern(elements=elements), select_variables=projected,
+    )
+
+
+@_examples(200)
+@given(st.lists(_triples, max_size=12), _partly_dead_queries(), st.sampled_from([1, 2, 256]))
+def test_partly_dead_patterns_match_the_oracles(triples, query, batch_size):
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    _assert_first_occurrences_match(store, query, batch_size)
+    assert len(store.dictionary) == size

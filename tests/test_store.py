@@ -193,3 +193,23 @@ def test_count_agrees_with_match(triples, subject, predicate):
     ]
     for pattern in patterns:
         assert store.count(pattern) == len(list(store.match(pattern)))
+
+
+_pattern_terms = st.one_of(
+    st.sampled_from([iri("a"), iri("b"), iri("never")]),
+    st.sampled_from([Variable("x"), Variable("y"), Variable("z")]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.builds(Triple, *[st.sampled_from([iri("a"), iri("b"), iri("c")])] * 3), max_size=20),
+    st.builds(TriplePattern, _pattern_terms, _pattern_terms, _pattern_terms),
+)
+def test_count_agrees_with_match_on_every_shape(triples, pattern):
+    """Every shape: repeated variables (``?x p ?x``, ``?x ?x ?x``),
+    ground patterns, and constants the store has never seen."""
+    store = TripleStore(triples)
+    size = len(store.dictionary)
+    assert store.count(pattern) == len(list(store.match(pattern)))
+    assert len(store.dictionary) == size
