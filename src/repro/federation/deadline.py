@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 #: fraction of a fresh deadline granted to the analysis phases (source
 #: selection, GJV checks, COUNT probes); execution gets the rest
@@ -198,6 +198,11 @@ class LatencyTracker:
     cancelled — so the tracker models what a client actually measures.
     One tracker is shared across an engine's queries: adaptive timeouts
     warm up once, not per query.
+
+    It also remembers which endpoints are *down*: a request that failed
+    past its retries adds no latency sample, so without this a dead
+    endpoint would look as fast as an unmeasured one.  The mark holds
+    until the endpoint answers again.
     """
 
     QUANTILES = (0.5, 0.95, 0.99)
@@ -206,13 +211,19 @@ class LatencyTracker:
         #: endpoint id -> quantile -> estimator
         self._estimators: Dict[str, Dict[float, P2Quantile]] = {}
         self._counts: Dict[str, int] = {}
+        #: endpoints whose last settled request failed past its retries
+        self._down: Set[str] = set()
         # One tracker serves every query the engine runs; concurrent
         # serving-layer executions observe from many threads, and the P²
         # marker updates are multi-step — unlocked, they corrupt.
         self._lock = threading.Lock()
 
-    def observe(self, endpoint_id: str, seconds: float) -> None:
+    def observe(self, endpoint_id: str, seconds: float, answered: bool = True) -> None:
+        """One charged request cost; ``answered`` clears a down mark
+        (a censored timeout is charged but is no answer)."""
         with self._lock:
+            if answered:
+                self._down.discard(endpoint_id)
             per_endpoint = self._estimators.get(endpoint_id)
             if per_endpoint is None:
                 per_endpoint = {q: P2Quantile(q) for q in self.QUANTILES}
@@ -220,6 +231,15 @@ class LatencyTracker:
             for estimator in per_endpoint.values():
                 estimator.observe(seconds)
             self._counts[endpoint_id] = self._counts.get(endpoint_id, 0) + 1
+
+    def mark_down(self, endpoint_id: str) -> None:
+        """A request to ``endpoint_id`` failed past its retries."""
+        with self._lock:
+            self._down.add(endpoint_id)
+
+    def is_down(self, endpoint_id: str) -> bool:
+        with self._lock:
+            return endpoint_id in self._down
 
     def count(self, endpoint_id: str) -> int:
         with self._lock:

@@ -859,6 +859,7 @@ class ElasticRequestHandler:
                     error, (EndpointUnavailableError, EndpointRateLimitError)
                 ):
                     self._note_failure(endpoint_id, at=future._finish)
+                    self.latency.mark_down(endpoint_id)
             future._exception = error
             future._scheduled = True
             return
@@ -896,7 +897,7 @@ class ElasticRequestHandler:
         )
         # The tracker sees what a client would measure: true latency for
         # answers it read, the censored cancellation point otherwise.
-        self.latency.observe(endpoint_id, allowed)
+        self.latency.observe(endpoint_id, allowed, answered=reason is None)
         if reason is None:
             self._note_success(endpoint_id)
             if response.partial:

@@ -11,7 +11,8 @@ says which member serves a covered pattern:
   load/latency score, ``score(ep) = lane backlog(ep) + tracked p50
   latency(ep)``, from the request handler's virtual per-endpoint lane
   occupancy and the engine's
-  :class:`~repro.federation.deadline.LatencyTracker`.  Ties — the
+  :class:`~repro.federation.deadline.LatencyTracker` (infinite for a
+  copy the tracker marks down until it answers again).  Ties — the
   common cold-start case — rotate round-robin per fragment, so a
   repeated read workload splits across the replicas;
 - ``"failover"`` — the first member serves; the others are standbys.
@@ -31,6 +32,7 @@ the LADE decomposition itself untouched.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
@@ -81,13 +83,19 @@ class ReplicaRouter:
         self._lock = threading.Lock()
 
     def score(self, endpoint_id: str, handler=None) -> float:
-        """Lower is better: current lane backlog plus median latency."""
+        """Lower is better: current lane backlog plus median latency.  A
+        copy that failed past its retries on this engine scores worse
+        than any live one until it answers again (its failures add no
+        latency sample, so it would otherwise score as an idle copy)."""
+        tracker = self.latency_tracker
+        if tracker is not None and tracker.is_down(endpoint_id):
+            return math.inf
         backlog = 0.0
         if handler is not None:
             backlog = handler.lane_backlog(endpoint_id)
         median = None
-        if self.latency_tracker is not None:
-            median = self.latency_tracker.quantile(endpoint_id, 0.5)
+        if tracker is not None:
+            median = tracker.quantile(endpoint_id, 0.5)
         return backlog + (median or 0.0)
 
     def choose(

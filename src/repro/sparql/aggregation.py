@@ -78,11 +78,12 @@ def aggregate_solutions(
     """
     header: List[Variable] = list(group_by) + [a.alias for a in aggregates]
     groups: Dict[tuple, List[Binding]] = {}
-    for binding in solutions:
-        key = tuple(binding.get(v) for v in group_by)
-        groups.setdefault(key, []).append(binding)
-    if not group_by and not groups:
-        groups[()] = []
+    if not group_by:
+        groups[()] = list(solutions)
+    else:
+        for binding in solutions:
+            key = tuple(binding.get(v) for v in group_by)
+            groups.setdefault(key, []).append(binding)
     rows: List[Tuple[Optional[GroundTerm], ...]] = []
     for key in sorted(groups, key=_group_key):
         cells: List[Optional[GroundTerm]] = list(key)

@@ -26,7 +26,21 @@ observe how often a solution repeats (ASK, DISTINCT, ``OFFSET 0 LIMIT
 ≤ 1`` without ORDER BY, every EXISTS body) a variable is **dead** when
 the answer does not read it (not projected, not correlated with an
 EXISTS body) and no later pattern mentions it; a pattern binding only
-dead variables is an existence test, one index lookup per key.
+dead variables is an existence test, one index lookup per key, and a
+pattern binding live and dead variables emits each distinct live
+extension once.
+
+**Index levels.**  The probe shapes reduce to reading one index level
+(general plan rules; nothing keys on a query's text):
+
+- an existence stage with one bound key and a constant predicate
+  (``?x p ?dead``, ``?dead p ?x``, ``?x p c``, ``c p ?x``) is a
+  membership test per row against ``_pred_subjects[p]``, ``_pos[p]``,
+  ``_pos[p][c]`` or ``_spo[c][p]`` (:meth:`TripleStore.key_level`);
+- a (NOT) EXISTS body of one such pattern correlated on one variable
+  keeps ``[row for row in batch if (row[s] in level) != negated]``;
+- ``COUNT(*)`` over one pattern with no filter or GROUP BY reads
+  :meth:`TripleStore.count` and walks nothing.
 
 Every other group is evaluated bottom-up over binding dicts: the BGP
 decoded at its boundary, a bound VALUES block pushed into the pipeline
@@ -173,9 +187,17 @@ class Evaluator:
     ) -> Iterator[list]:
         """``FILTER (NOT) EXISTS`` over ID-row lists: per list, one body
         run seeded with its distinct correlated keys; survivors leave in
-        input order."""
+        input order.  A one-pattern body correlated on one variable
+        that reads one index level (:meth:`BGPPlan.key_level`) is a
+        membership test per row against that level instead."""
         body = self.plan_for(expr.group.elements, bound)
         at = [slot_vars.index(v) for v in body.slot_vars[:body.bound_slots]]
+        level = body.key_level(self.store)
+        if level is not None:
+            (s,) = at
+            for batch in batches:
+                yield [row for row in batch if (row[s] in level) != expr.negated]
+            return
         for batch in batches:
             keys = [tuple([row[s] for s in at]) for row in batch]
             found = self._matched_keys(body, keys)
@@ -222,12 +244,17 @@ class Evaluator:
     def _decode_solutions(self, query: Query, slot_vars, batches: Iterator[list]) -> List[Binding]:
         """Solutions for aggregation, binding only what the grouping and
         the aggregates read: ``COUNT(*)`` alone counts rows and decodes
-        nothing."""
+        nothing, and over one pattern with no filter it reads
+        :meth:`TripleStore.count` and walks nothing."""
         read = set(query.group_by).union(
             a.argument for a in query.aggregates if a.argument is not None
         )
         slots = [(v, slot) for slot, v in enumerate(slot_vars) if v in read]
         if not slots:
+            where = query.where
+            if len(where.elements) == 1 and not where.filters:
+                # DISTINCT changes nothing: distinct triples bind distinct solutions
+                return [_EMPTY_BINDING] * self.store.count(where.elements[0])
             return [_EMPTY_BINDING] * sum(map(len, batches))
         decode = self.store.dictionary.decode
         return [

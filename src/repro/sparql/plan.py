@@ -31,7 +31,13 @@ Given the set of *live* variables (those the caller reads), a variable
 is **dead** at a pattern when it is not live and no later pattern
 mentions it.  A pattern whose new variables are all dead compiles to an
 *existence stage*: it binds nothing and passes each input row on at
-most once — sound wherever the caller cannot observe multiplicity.
+most once — sound wherever the caller cannot observe multiplicity.  One
+with a single bound key and a constant predicate is a membership test
+against one store index level.  A pattern binding live *and* dead
+variables is marked ``distinct``: it binds only the live ones and emits
+each distinct live extension once per row, in the walk's
+first-occurrence order.  :meth:`BGPPlan.key_level` hands a one-pattern
+EXISTS body's index level to the evaluator's anti-join.
 """
 
 from __future__ import annotations
@@ -197,8 +203,9 @@ class BGPPlan:
 
     def _compile(self, lookup) -> Optional[Tuple[tuple, ...]]:
         """The integer stage descriptors
-        ``(consts, bound_positions, key_slots, free, checks)`` that
-        :meth:`~repro.store.TripleStore.extend_id_rows` consumes.
+        ``(consts, bound_positions, key_slots, free, checks, distinct)``
+        that :meth:`~repro.store.TripleStore.extend_id_rows` consumes
+        (``distinct`` is only set by :meth:`_stages_for`).
 
         Because the plan's dataflow is static — a slot is bound at stage
         *k* iff it is one of the ``bound_slots`` or its variable appears
@@ -249,16 +256,24 @@ class BGPPlan:
                     tuple(key_slots),
                     tuple(free),
                     tuple(checks),
+                    False,
                 )
             )
             bound_now.update(var_slot[v] for v in pattern.variables())
         return tuple(compiled)
 
     def _stages_for(self, live: Optional[FrozenSet[Variable]]) -> Optional[Tuple[tuple, ...]]:
-        """:attr:`stages` with every pattern whose new variables are all
-        dead turned into an existence stage (no ``free`` slot; the
-        ``checks`` of a repeated dead variable stay).  A variable is dead
-        when it is not in ``live`` and no later pattern mentions it."""
+        """:attr:`stages` with the dead variables each pattern binds
+        left unbound.  A variable is dead when it is not in ``live`` and
+        no later pattern mentions it.
+
+        - A pattern whose new variables are all dead becomes an
+          existence stage (no ``free`` slot; the ``checks`` of a
+          repeated dead variable stay).
+        - A pattern binding live and dead variables keeps only its live
+          ``free`` slots and is marked ``distinct``: each distinct live
+          extension is emitted once per row, in first-occurrence order.
+        """
         if live is None or self.stages is None:
             return self.stages
         stages = self._variants.get(live)
@@ -266,19 +281,30 @@ class BGPPlan:
             #: the index of the last pattern mentioning each variable
             last = {v: k for k, pattern in enumerate(self.order) for v in pattern.variables()}
 
-            def dead(k: int, slot: int) -> bool:
-                variable = self.slot_vars[slot]
-                return variable not in live and last[variable] == k
-
-            stages = tuple(
-                (consts, bound_positions, key_slots, (), checks)
-                if free and all(dead(k, slot) for _, slot in free)
-                else (consts, bound_positions, key_slots, free, checks)
-                for k, (consts, bound_positions, key_slots, free, checks)
-                in enumerate(self.stages)
-            )
-            self._variants[live] = stages
+            stages = []
+            for k, (consts, bound_positions, key_slots, free, checks, _) in enumerate(self.stages):
+                alive = tuple(
+                    (pos, slot) for pos, slot in free
+                    if self.slot_vars[slot] in live or last[self.slot_vars[slot]] != k
+                )
+                stages.append(
+                    (consts, bound_positions, key_slots, alive, checks, alive != free)
+                )
+            self._variants[live] = stages = tuple(stages)
         return stages
+
+    def key_level(self, store) -> Optional[dict]:
+        """For a one-pattern plan with one bound slot and every other
+        variable dead (a one-pattern EXISTS body correlated on one
+        variable): the store index level whose keys are exactly the
+        bound values with a match (:meth:`TripleStore.key_level`);
+        ``None`` for any other plan."""
+        if len(self.order) != 1 or self.bound_slots != 1:
+            return None
+        stages = self._stages_for(frozenset())
+        if stages is None:
+            return {}  # names a term the store has never seen
+        return store.key_level(stages[0])
 
     def execute_ids(
         self,

@@ -31,6 +31,7 @@ Two lookup surfaces exist:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.dictionary import TermDictionary
@@ -45,6 +46,9 @@ _Terms = Tuple[GroundTerm, GroundTerm, GroundTerm]
 #: returned by ``_key`` for a ground term the dictionary has never seen —
 #: distinct from ``None``, which the raw matchers treat as a wildcard.
 _ABSENT = object()
+
+#: the index level of a key the store does not hold (never mutated)
+_NO_KEYS: Dict = {}
 
 
 def _index_add(index: _Index, a, b, c) -> None:
@@ -311,7 +315,7 @@ class TripleStore:
 
         ``stage`` is a compiled descriptor (see
         :attr:`~repro.sparql.plan.BGPPlan.stages`) —
-        ``(consts, bound_positions, key_slots, free, checks)``:
+        ``(consts, bound_positions, key_slots, free, checks, distinct)``:
 
         - ``consts``: per position, the ground term's interned ID or
           ``None`` for a variable position;
@@ -322,11 +326,17 @@ class TripleStore:
         - ``free``: ``(pos, slot)`` for each distinct unbound slot the
           pattern binds;
         - ``checks``: ``(pos_a, pos_b)`` equality constraints from a
-          repeated free variable.
+          repeated free variable;
+        - ``distinct``: the pattern also binds dead variables (left out
+          of ``free``), so each distinct extension is emitted once per
+          row, in the walk's first-occurrence order.
 
         A stage with no ``free`` slot is an *existence test*: each row
         of a group passes on once if the pattern has any match (with
-        its dead variables as wildcards), else not at all.
+        its dead variables as wildcards), else not at all.  When that
+        test reads one index level (:meth:`key_level`), it is one
+        membership test per row against that level, resolved once per
+        call; rows leave in the order the grouped walk gives them.
 
         The contract mirrors the plan's static dataflow: every
         ``key_slots`` slot is non-``None`` in every row and every
@@ -336,7 +346,41 @@ class TripleStore:
         rows are fresh lists (inputs never mutated); everything in the
         loop hashes machine integers — no terms, dicts, or Triples.
         """
-        consts, bound_positions, key_slots, free, checks = stage
+        level = self.key_level(stage)
+        if level is None:
+            return self._extend_walk(stage, rows)
+        return _members_in(level, stage[2][0], rows)
+
+    def key_level(self, stage: tuple) -> Optional[Dict[int, object]]:
+        """The index level an existence stage with one bound key and a
+        constant predicate reads: its keys are exactly the key values
+        the pattern has a match for.  ``?x p ?dead`` reads
+        ``_pred_subjects[p]``, ``?dead p ?x`` reads ``_pos[p]``,
+        ``?x p c`` reads ``_pos[p][c]`` and ``c p ?x`` reads
+        ``_spo[c][p]``; any other stage gives ``None``."""
+        consts, bound_positions, _, free, checks, _ = stage
+        if free or checks or len(bound_positions) != 1 or consts[1] is None:
+            return None
+        s, p, o = consts
+        pos = bound_positions[0][0]
+        if pos == 0:
+            if o is None:
+                return self._pred_subjects.get(p, _NO_KEYS)
+            return self._pos.get(p, _NO_KEYS).get(o, _NO_KEYS)
+        if pos == 2:
+            if s is None:
+                return self._pos.get(p, _NO_KEYS)
+            return self._spo.get(s, _NO_KEYS).get(p, _NO_KEYS)
+        return None
+
+    def _extend_walk(
+        self,
+        stage: tuple,
+        rows: Iterable[List[Optional[int]]],
+    ) -> Iterator[List[Optional[int]]]:
+        """:meth:`extend_id_rows` by index walks: rows grouped on their
+        key slots, one walk (or existence lookup) per group."""
+        consts, bound_positions, key_slots, free, checks, distinct = stage
         groups: Dict[object, list]
         if not key_slots:
             # Pattern reads nothing from the rows: one shared walk.
@@ -383,12 +427,20 @@ class TripleStore:
                 if hit:
                     yield from members
                 continue
-            stream = self._match_raw(query[0], query[1], query[2])
-            if checks:
-                stream = (
-                    t for t in stream
-                    if all(t[a] == t[b] for a, b in checks)
-                )
+            s, p, o = query
+            if distinct and s is None and p is not None and free[0][0] == 2:
+                # ``?dead p ?x``: the distinct objects, in walk order,
+                # are the keys of ``_pos[p]``
+                stream = ((None, None, obj) for obj in self._pos.get(p, ()))
+            else:
+                stream = self._match_raw(s, p, o)
+                if checks:
+                    stream = (
+                        t for t in stream
+                        if all(t[a] == t[b] for a, b in checks)
+                    )
+                if distinct:
+                    stream = _first_occurrences(stream, [pos for pos, _ in free])
             if len(members) == 1:
                 row = members[0]
                 if len(free) == 1:
@@ -416,46 +468,39 @@ class TripleStore:
                         yield extended
 
     def count(self, pattern: TriplePattern) -> int:
-        """Count triples matching the pattern.
+        """Count triples matching the pattern, on raw keys.
 
-        Fast paths avoid materializing matches for the common shapes used
-        by the cost model (fully unbound, predicate-bound, etc.).
+        Each ground term is looked up once.  A repeated variable counts
+        the walk's matches that satisfy its equality constraints (no
+        decode); every other shape is one index read: a size, a
+        per-predicate count, or the length of one index level.
         """
-        s_var = isinstance(pattern.subject, Variable)
-        p_var = isinstance(pattern.predicate, Variable)
-        o_var = isinstance(pattern.object, Variable)
-        distinct_vars = len(pattern.variables())
-        bound_count = 3 - (s_var + p_var + o_var)
-        # Repeated variables force equality constraints; fall back to scan.
-        if distinct_vars != (3 - bound_count):
-            return sum(1 for _ in self.match_terms(pattern))
-        if s_var and p_var and o_var:
-            return self._size
-        if not s_var and not p_var and not o_var:
-            return 1 if Triple(pattern.subject, pattern.predicate, pattern.object) in self else 0
-        if s_var and o_var:  # only predicate bound
-            return self._predicate_counts.get(self._key(pattern.predicate), 0)
-        if p_var and o_var:  # only subject bound
-            by_predicate = self._spo.get(self._key(pattern.subject), {})
-            return sum(len(objects) for objects in by_predicate.values())
-        if s_var and p_var:  # only object bound
-            by_subject = self._osp.get(self._key(pattern.object), {})
-            return sum(len(predicates) for predicates in by_subject.values())
-        if s_var:  # predicate and object bound
-            return len(
-                self._pos.get(self._key(pattern.predicate), {})
-                .get(self._key(pattern.object), ())
-            )
-        if o_var:  # subject and predicate bound
-            return len(
-                self._spo.get(self._key(pattern.subject), {})
-                .get(self._key(pattern.predicate), ())
-            )
-        # subject and object bound, predicate free
-        return len(
-            self._osp.get(self._key(pattern.object), {})
-            .get(self._key(pattern.subject), ())
+        s, p, o = (
+            None if isinstance(term, Variable) else self._key(term)
+            for term in pattern.as_tuple()
         )
+        if s is _ABSENT or p is _ABSENT or o is _ABSENT:
+            return 0
+        constraints = _equality_constraints(pattern)
+        if constraints:
+            return sum(
+                1 for keys in self._match_raw(s, p, o)
+                if all(keys[i] == keys[j] for i, j in constraints)
+            )
+        if s is not None and p is not None and o is not None:
+            return 1 if self._has_match(s, p, o) else 0
+        if s is None and o is None:
+            return self._size if p is None else self._predicate_counts.get(p, 0)
+        if s is None:
+            if p is None:  # only object bound
+                return sum(map(len, self._osp.get(o, _NO_KEYS).values()))
+            return len(self._pos.get(p, _NO_KEYS).get(o, ()))
+        if o is None:
+            if p is None:  # only subject bound
+                return sum(map(len, self._spo.get(s, _NO_KEYS).values()))
+            return len(self._spo.get(s, _NO_KEYS).get(p, ()))
+        # subject and object bound, predicate free
+        return len(self._osp.get(o, _NO_KEYS).get(s, ()))
 
     # ------------------------------------------------------------------
     # Statistics
@@ -523,6 +568,35 @@ class TripleStore:
 
     def distinct_predicates_total(self) -> int:
         return len(self._predicate_counts)
+
+
+def _members_in(
+    level: Dict[int, object], ks: int, rows: Iterable[List[Optional[int]]]
+) -> Iterator[List[Optional[int]]]:
+    """The rows whose ``ks`` slot is a key of ``level``, grouped as the
+    walk groups them: a repeated key's rows leave together, at its first
+    occurrence.  Lazy, so the work is timed where the rows are pulled."""
+    hits = [row for row in rows if row[ks] in level]
+    if len({row[ks] for row in hits}) < len(hits):
+        groups: Dict[int, list] = {}
+        for row in hits:
+            groups.setdefault(row[ks], []).append(row)
+        hits = [row for members in groups.values() for row in members]
+    yield from hits
+
+
+def _first_occurrences(
+    stream: Iterator[Tuple[int, int, int]], positions: List[int]
+) -> Iterator[Tuple[int, int, int]]:
+    """The matches of ``stream`` whose IDs at ``positions`` have not
+    been seen yet, lazily and in order."""
+    seen: set = set()
+    at = itemgetter(*positions)  # the bare ID for one position, a tuple for several
+    for ids in stream:
+        value = at(ids)
+        if value not in seen:
+            seen.add(value)
+            yield ids
 
 
 def _equality_constraints(pattern: TriplePattern) -> List[Tuple[int, int]]:

@@ -191,6 +191,30 @@ class TestFailover:
         # the down copy was picked at least once, so a failover ran
         assert any(routed_to_down)
 
+    def test_a_copy_that_failed_is_not_picked_again(self):
+        """ep2a fails every request.  The first run routes to it (the
+        cold tie) and fails over to ep2b; a failed request adds no
+        latency sample, yet ep2a must not look idle: runs 2-4 route to
+        ep2b and fail no request."""
+        engine = LusailEngine(
+            build_replicated_federation({"ep2a": FaultProfile(failure_rate=1.0)}),
+            partial_results=True,
+        )
+        served = []
+        for _ in range(4):
+            engine.result_cache.clear()
+            before = dict(engine.replica_router.routed)
+            outcome = engine.execute(QUERY_QA)
+            assert outcome.status == "OK", outcome.error
+            assert result_values(outcome.result) == QA_EXPECTED
+            (copy,) = [
+                eid for eid, n in engine.replica_router.routed.items()
+                if n > before.get(eid, 0)
+            ]
+            served.append((copy, outcome.metrics.requests_failed))
+        assert served[0][0] == "ep2a" and served[0][1] > 0
+        assert served[1:] == [("ep2b", 0)] * 3
+
     def test_a_failed_subquery_fails_over_to_the_sibling(self):
         """Source selection succeeds at the routed copy, then its last
         request (a subquery) fails: dispatch resends it to the sibling."""

@@ -317,6 +317,63 @@ class TestBatchPathContracts:
         assert found == []
         assert evaluator.stats.intermediate_rows <= 45_000
 
+    def test_an_empty_check_reads_its_body_from_an_index_level(self, monkeypatch):
+        """The Figure-5 check with no survivor over 10 000 subjects: the
+        outer existence stage (``?s p ?z``) and the NOT EXISTS body
+        (``?s q ?w``) are membership tests against index levels, so no
+        ``_has_match`` call at all and no walk of the body's predicate."""
+        ub = "http://ub/"
+        triples = []
+        for i in range(10_000):
+            subject = IRI(f"http://u/s{i}")
+            triples += [
+                Triple(subject, IRI(RDF_TYPE), IRI(ub + "T")),
+                Triple(subject, IRI(ub + "p"), IRI(f"http://u/o{i % 5}")),
+                Triple(subject, IRI(ub + "q"), IRI(f"http://u/w{i % 5}")),
+            ]
+        store = TripleStore(triples)
+        body_predicate = store.dictionary.lookup(IRI(ub + "q"))
+        lookups, walks = [], []
+        has_match, match_raw = TripleStore._has_match, TripleStore._match_raw
+        monkeypatch.setattr(
+            TripleStore, "_has_match",
+            lambda self, *keys: lookups.append(keys) or has_match(self, *keys),
+        )
+        monkeypatch.setattr(
+            TripleStore, "_match_raw",
+            lambda self, *keys: walks.append(keys) or match_raw(self, *keys),
+        )
+        found = rows(
+            Evaluator(store),
+            f"SELECT ?s WHERE {{ ?s a <{ub}T> . ?s <{ub}p> ?z . "
+            f"FILTER NOT EXISTS {{ ?s <{ub}q> ?w }} }} LIMIT 1",
+        )
+        assert found == []
+        assert lookups == []
+        assert [keys for keys in walks if body_predicate in keys] == []
+
+    def test_a_single_pattern_count_walks_nothing(self, monkeypatch):
+        store = TripleStore(
+            Triple(IRI(f"http://u/s{i}"), IRI("http://ub/p"), IRI(f"http://u/o{i % 7}"))
+            for i in range(50_000)
+        )
+        decoded, walks = [], []
+        decode, match_raw = TermDictionary.decode, TripleStore._match_raw
+        monkeypatch.setattr(
+            TermDictionary, "decode",
+            lambda self, tid: decoded.append(tid) or decode(self, tid),
+        )
+        monkeypatch.setattr(
+            TripleStore, "_match_raw",
+            lambda self, *keys: walks.append(keys) or match_raw(self, *keys),
+        )
+        result = rows(
+            Evaluator(store),
+            "SELECT (COUNT(*) AS ?c) WHERE { ?s <http://ub/p> ?o }",
+        )
+        assert result == [(Literal.integer(50_000),)]
+        assert (walks, decoded) == ([], [])
+
     def test_count_star_decodes_nothing(self, monkeypatch):
         store = TripleStore(
             Triple(IRI(f"http://u/s{i}"), IRI("http://ub/p"), IRI(f"http://u/o{i % 7}"))
